@@ -34,11 +34,10 @@ from .io import (
     serialize_structure,
 )
 from .morphism import (
+    MORPHISM_KINDS,
     MorphismMap,
+    check_morphism,
     is_inductive_preradiant,
-    is_inductive_radiant,
-    is_premorphism,
-    is_restriction_morphism,
 )
 from .szendrei import expand_constellation, expand_semigroupoid, extend, iota
 from .theorems import run_all
@@ -174,23 +173,15 @@ def cmd_classify(args):
     return 0
 
 
-_MORPHISM_KINDS = {
-    "rm": (is_restriction_morphism, LeftRestrictionSemigroupoid),
-    "pm": (is_premorphism, LeftRestrictionSemigroupoid),
-    "ir": (is_inductive_radiant, OrderedConstellation),
-    "ip": (is_inductive_preradiant, OrderedConstellation),
-}
-
-
 def cmd_check_morphism(args):
-    checker, cls = _MORPHISM_KINDS[args.kind]
+    cls, _ = MORPHISM_KINDS[args.kind]
     _, _, src, tgt, mapping = _load_morphism(args.file)
     if not (isinstance(src, cls) and isinstance(tgt, cls)):
         raise ParseError(
             f"check-morphism --kind {args.kind} expects "
             f"{'semigroupoid' if cls is LeftRestrictionSemigroupoid else 'constellation'} files"
         )
-    report = checker(MorphismMap(src, tgt, mapping))
+    report = check_morphism(args.kind, MorphismMap(src, tgt, mapping))
     sys.stdout.write(render_report(valid=report.valid, violations=report.violations))
     return 0 if report.valid else 1
 
@@ -218,6 +209,8 @@ def _record(structure):
 
 
 def cmd_enumerate(args):
+    if args.size < 1:
+        raise ParseError("--size must be at least 1")
     gen = (
         enumerate_lr_semigroupoids
         if args.kind == "lrs"
@@ -282,7 +275,7 @@ def _parser():
     q.set_defaults(func=cmd_classify)
 
     q = sub.add_parser("check-morphism", help="run one morphism checker")
-    q.add_argument("--kind", required=True, choices=sorted(_MORPHISM_KINDS))
+    q.add_argument("--kind", required=True, choices=sorted(MORPHISM_KINDS))
     q.add_argument("file")
     q.set_defaults(func=cmd_check_morphism)
 

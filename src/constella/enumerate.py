@@ -16,6 +16,7 @@ from .core import LeftRestrictionSemigroupoid, PartialTable
 __all__ = [
     "CapExceededError",
     "DEFAULT_SIZE_CAP",
+    "cap_from_env",
     "carrier_labels",
     "all_partial_orders",
     "enumerate_semigroupoids",
@@ -29,17 +30,25 @@ DEFAULT_SIZE_CAP = 4
 
 
 class CapExceededError(RuntimeError):
-    pass
+    """A size or candidate count above its cap, or an unreadable cap."""
+
+
+def cap_from_env():
+    """The integer value of CONSTELLA_CAP, or None when it is unset."""
+    raw = os.environ.get("CONSTELLA_CAP")
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise CapExceededError(
+            f"CONSTELLA_CAP must be an integer, got {raw!r}") from None
 
 
 def size_cap_from_env(default=DEFAULT_SIZE_CAP):
     """CONSTELLA_CAP values up to 8 act as the census size cap."""
-    raw = os.environ.get("CONSTELLA_CAP")
-    if raw:
-        value = int(raw)
-        if value <= 8:
-            return value
-    return default
+    value = cap_from_env()
+    return value if value is not None and value <= 8 else default
 
 
 def carrier_labels(n):

@@ -1,21 +1,36 @@
 """Total maps between structures and the four morphism classes.
 
-Every checker tests its axioms independently (nothing assumes the map
-already belongs to a smaller class), so single-image mutations produce
-meaningful named violations.  Violations are produced lazily; enumeration
-over candidate-map spaces stops at the first one.
+Each axiom is written once, as ordered instances ``(axiom, witness,
+support, test)``: ``support`` lists the source elements the instance reads
+and ``test(f, *support)`` decides it once they have images.  The reporting
+checkers run every instance and report each failure as a named Violation;
+no checker assumes the map already belongs to a smaller class, so
+single-image mutations produce meaningful named violations.
+
+enumerate_morphisms is a backtracking search over the same instances: it
+assigns images in source-carrier order, trying target elements in order,
+tests each instance once the last element of its support has an image and
+cuts the branch at the first failure.  Accepted maps come out in the
+lexicographic order of the |T|^|S| total maps.
 """
 
-import os
-from itertools import product
-
-from .constellation import OrderedConstellation, corestriction, pseudo_product
+from .constellation import (
+    NonUniqueError,
+    NotApplicableError,
+    OrderedConstellation,
+    corestriction,
+    pseudo_product,
+    restriction,
+)
 from .core import LeftRestrictionSemigroupoid, Violation, ValidationReport
+from .enumerate import CapExceededError, cap_from_env
 from .functor import build_C, build_G
 
 __all__ = [
     "MorphismMap",
     "CapExceededError",
+    "MORPHISM_KINDS",
+    "check_morphism",
     "is_restriction_morphism",
     "is_premorphism",
     "is_inductive_radiant",
@@ -28,10 +43,6 @@ __all__ = [
 ]
 
 DEFAULT_MAP_CAP = 10**7
-
-
-class CapExceededError(RuntimeError):
-    pass
 
 
 class MorphismMap:
@@ -77,156 +88,146 @@ class MorphismMap:
         return f"MorphismMap({self.mapping!r})"
 
 
+
 def identity_morphism(s):
     return MorphismMap(s, s, {x: x for x in s.carrier})
 
 
-def _require(m, cls):
-    if not (isinstance(m.source, cls) and isinstance(m.target, cls)):
+def _require(source, target, cls):
+    if not (isinstance(source, cls) and isinstance(target, cls)):
         raise TypeError(f"morphism endpoints must be {cls.__name__}")
 
 
-def _rm_violations(m):
-    S, T, f = m.source, m.target, m.mapping
-    comp_t = T.table.comp
+# --- instance builders: one instance per axiom and witness, in report order
+
+
+def _products(axiom, S, test):
+    """One instance per defined product ab of the source, reading a, b, ab."""
+    comp = S.table.comp
     for (a, b) in sorted(S.table.defined, key=repr):
-        img = comp_t.get((f[a], f[b]))
-        if img is None or img != f[S.table.comp[(a, b)]]:
-            yield Violation("rm1", (a, b))
+        yield axiom, (a, b), (a, b, comp[(a, b)]), test
+
+
+def _elements(axiom, S, test):
+    """One instance per source element a, reading a and a+."""
     for a in S.carrier:
-        if f[S.plus[a]] != T.plus[f[a]]:
-            yield Violation("rm2", (a,))
+        yield axiom, (a,), (a, S.plus[a]), test
 
 
-def _leq_semigroupoid(T, a, b):
-    return T.table.comp.get((T.plus[a], b)) == a
+def _order_pairs(axiom, T, L):
+    """ir3/ip3: a <= b implies f(a) <= f(b)."""
+    def test(f, a, b):
+        return (f[a], f[b]) in L.order
+    for pair in sorted(T.order, key=repr):
+        yield axiom, pair, pair, test
 
 
-def _pm_violations(m):
-    S, T, f = m.source, m.target, m.mapping
-    comp_t = T.table.comp
-    for (a, b) in sorted(S.table.defined, key=repr):
-        lhs = comp_t.get((f[a], f[b]))
-        rhs = comp_t.get((T.plus[f[a]], f[S.table.comp[(a, b)]]))
-        if lhs is None or rhs is None or lhs != rhs:
-            yield Violation("pm1", (a, b))
-    for a in S.carrier:
-        if not _leq_semigroupoid(T, T.plus[f[a]], f[S.plus[a]]):
-            yield Violation("pm2", (a,))
-
-
-def _ir_violations(m):
-    T, L, f = m.source, m.target, m.mapping
-    comp_l = L.table.comp
-    l_plus_image = set(L.plus.values())
-    for (a, b) in sorted(T.table.defined, key=repr):
-        img = comp_l.get((f[a], f[b]))
-        if img is None or img != f[T.table.comp[(a, b)]]:
-            yield Violation("ir1", (a, b))
-    for a in T.carrier:
-        if L.plus[f[a]] != f[T.plus[a]]:
-            yield Violation("ir2", (a,))
-    for (a, b) in sorted(T.order, key=repr):
-        if (f[a], f[b]) not in L.order:
-            yield Violation("ir3", (a, b))
+def _corestrictions(axiom, T, cores):
+    """ir4/ip4: f(e) is in L+ and f(x|e) = f(x)|f(e), whenever x|e exists."""
+    def test(f, x, e, c):
+        return cores.get((f[x], f[e])) == f[c]
     for e in T.plus_image():
         for x in T.carrier:
             c = corestriction(T, x, e)
-            if not c.exists:
-                continue
-            if f[e] not in l_plus_image:
-                yield Violation("ir4", (x, e))
-                continue
-            c_img = corestriction(L, f[x], f[e])
-            if not c_img.exists or c_img.value != f[c.value]:
-                yield Violation("ir4", (x, e))
+            if c.exists:
+                yield axiom, (x, e), (x, e, c.value), test
 
 
-def _ip_violations(m):
-    T, L, f = m.source, m.target, m.mapping
+def _multiplicative(comp):
+    """rm1/ir1: f(a)f(b) is defined and equals f(ab)."""
+    def test(f, a, b, ab):
+        return comp.get((f[a], f[b])) == f[ab]
+    return test
+
+
+def _weakly_multiplicative(product, plus):
+    """pm1/ip1: f(a)f(b) = f(a)+ f(ab), both sides defined, for the given
+    product (composition for pm1, pseudo-product for ip1)."""
+    def test(f, a, b, ab):
+        lhs = product.get((f[a], f[b]))
+        return lhs is not None and lhs == product.get((plus[f[a]], f[ab]))
+    return test
+
+
+def _commutes_with_plus(plus):
+    """rm2/ir2: f(a+) = f(a)+."""
+    def test(f, a, a_plus):
+        return f[a_plus] == plus[f[a]]
+    return test
+
+
+def _corestriction_table(L):
+    """{(y, g): y|g} for y in L, g in L+, where the corestriction exists."""
+    cores = {}
+    for g in L.plus_image():
+        for y in L.carrier:
+            c = corestriction(L, y, g)
+            if c.exists:
+                cores[(y, g)] = c.value
+    return cores
+
+
+def _rm_instances(S, T):
+    yield from _products("rm1", S, _multiplicative(T.table.comp))
+    yield from _elements("rm2", S, _commutes_with_plus(T.plus))
+
+
+def _pm_instances(S, T):
+    comp, plus = T.table.comp, T.plus
+
+    def pm2(f, a, a_plus):
+        # f(a)+ <= f(a+) in the natural order: (f(a)+)+ f(a+) = f(a)+
+        e = plus[f[a]]
+        return comp.get((plus[e], f[a_plus])) == e
+
+    yield from _products("pm1", S, _weakly_multiplicative(comp, plus))
+    yield from _elements("pm2", S, pm2)
+
+
+def _ir_instances(T, L):
+    yield from _products("ir1", T, _multiplicative(L.table.comp))
+    yield from _elements("ir2", T, _commutes_with_plus(L.plus))
+    yield from _order_pairs("ir3", T, L)
+    yield from _corestrictions("ir4", T, _corestriction_table(L))
+
+
+def _ip_instances(T, L):
+    cores = _corestriction_table(L)
+    pseudo = {(a, b): pseudo_product(L, a, b) for a in L.carrier for b in L.carrier}
     l_plus_image = set(L.plus.values())
 
-    for (a, b) in sorted(T.table.defined, key=repr):
-        ab = T.table.comp[(a, b)]
-        lhs = pseudo_product(L, f[a], f[b])
-        rhs = pseudo_product(L, L.plus[f[a]], f[ab])
-        if lhs is None or rhs is None or lhs != rhs:
-            yield Violation("ip1", (a, b))
+    def ip2(f, a, a_plus):
+        return (L.plus[f[a]], f[a_plus]) in L.order
 
-    for a in T.carrier:
-        if (L.plus[f[a]], f[T.plus[a]]) not in L.order:
-            yield Violation("ip2", (a,))
+    def ip5(f, e, x, r):
+        # f(e)|f(x)+ = f(e|x)+, with f(e) in L+
+        return f[e] in l_plus_image \
+            and cores.get((f[e], L.plus[f[x]])) == L.plus[f[r]]
 
-    for (a, b) in sorted(T.order, key=repr):
-        if (f[a], f[b]) not in L.order:
-            yield Violation("ip3", (a, b))
+    def plus_image(f, e):
+        return f[e] in l_plus_image
 
+    yield from _products("ip1", T, _weakly_multiplicative(pseudo, L.plus))
+    yield from _elements("ip2", T, ip2)
+    yield from _order_pairs("ip3", T, L)
+    yield from _corestrictions("ip4", T, cores)
     for e in T.plus_image():
         for x in T.carrier:
-            c = corestriction(T, x, e)
-            if not c.exists:
+            try:
+                r = restriction(T, e, x)
+            except (NotApplicableError, NonUniqueError):
                 continue
-            if f[e] not in l_plus_image:
-                yield Violation("ip4", (x, e))
-                continue
-            c_img = corestriction(L, f[x], f[e])
-            if not c_img.exists or c_img.value != f[c.value]:
-                yield Violation("ip4", (x, e))
-
-    for e in T.plus_image():
-        for x in T.carrier:
-            if (e, T.plus[x]) not in T.order:
-                continue
-            found = [y for y in T.carrier
-                     if (y, x) in T.order and T.plus[y] == e]
-            if len(found) != 1:
-                continue
-            if f[e] not in l_plus_image:
-                yield Violation("ip5", (e, x))
-                continue
-            c_img = corestriction(L, f[e], L.plus[f[x]])
-            if not c_img.exists or c_img.value != L.plus[f[found[0]]]:
-                yield Violation("ip5", (e, x))
-
+            yield "ip5", (e, x), (e, x, r), ip5
     # derived requirement: plus-elements land on plus-elements
     for e in T.plus_image():
-        if f[e] not in l_plus_image:
-            yield Violation("plus-image", (e,))
+        yield "plus-image", (e,), (e,), plus_image
 
 
-def is_restriction_morphism(m):
-    """rm1: maps defined products to defined products, preserving them.
-    rm2: commutes with plus."""
-    _require(m, LeftRestrictionSemigroupoid)
-    return ValidationReport(tuple(_rm_violations(m)))
-
-
-def is_premorphism(m):
-    """pm1: f(s)f(t) = f(s)+ f(st) with both sides defined, when st is.
-    pm2: f(s)+ <= f(s+) in the target's natural order."""
-    _require(m, LeftRestrictionSemigroupoid)
-    return ValidationReport(tuple(_pm_violations(m)))
-
-
-def is_inductive_radiant(m):
-    """ir1: preserves composition; ir2: commutes with plus;
-    ir3: preserves order; ir4: preserves corestrictions."""
-    _require(m, OrderedConstellation)
-    return ValidationReport(tuple(_ir_violations(m)))
-
-
-def is_inductive_preradiant(m):
-    """ip1-ip5, plus the derived requirement that plus-elements map into
-    the target's plus-elements (reported as 'plus-image')."""
-    _require(m, OrderedConstellation)
-    return ValidationReport(tuple(_ip_violations(m)))
-
-
-_GENERATORS = {
-    "rm": (_rm_violations, LeftRestrictionSemigroupoid),
-    "pm": (_pm_violations, LeftRestrictionSemigroupoid),
-    "ir": (_ir_violations, OrderedConstellation),
-    "ip": (_ip_violations, OrderedConstellation),
+MORPHISM_KINDS = {
+    "rm": (LeftRestrictionSemigroupoid, _rm_instances),
+    "pm": (LeftRestrictionSemigroupoid, _pm_instances),
+    "ir": (OrderedConstellation, _ir_instances),
+    "ip": (OrderedConstellation, _ip_instances),
 }
 
 _KIND_ALIASES = {
@@ -237,21 +238,82 @@ _KIND_ALIASES = {
 }
 
 
+def _instances(kind, source, target):
+    cls, build = MORPHISM_KINDS[kind]
+    _require(source, target, cls)
+    return tuple(build(source, target))
+
+
+def check_morphism(kind, m):
+    """Every failing instance of the axioms of kind (rm, pm, ir or ip)."""
+    f = m.mapping
+    return ValidationReport(
+        Violation(axiom, witness)
+        for axiom, witness, support, test in _instances(kind, m.source, m.target)
+        if not test(f, *support)
+    )
+
+
+def is_restriction_morphism(m):
+    """rm1: maps defined products to defined products, preserving them.
+    rm2: commutes with plus."""
+    return check_morphism("rm", m)
+
+
+def is_premorphism(m):
+    """pm1: f(s)f(t) = f(s)+ f(st) with both sides defined, when st is.
+    pm2: f(s)+ <= f(s+) in the target's natural order."""
+    return check_morphism("pm", m)
+
+
+def is_inductive_radiant(m):
+    """ir1: preserves composition; ir2: commutes with plus;
+    ir3: preserves order; ir4: preserves corestrictions."""
+    return check_morphism("ir", m)
+
+
+def is_inductive_preradiant(m):
+    """ip1-ip5, plus the derived requirement that plus-elements map into
+    the target's plus-elements (reported as 'plus-image')."""
+    return check_morphism("ip", m)
+
+
 def _map_cap_from_env(default=DEFAULT_MAP_CAP):
     """CONSTELLA_CAP values above 8 act as the candidate-count cap."""
-    raw = os.environ.get("CONSTELLA_CAP")
-    if raw:
-        value = int(raw)
-        if value > 8:
-            return value
-    return default
+    value = cap_from_env()
+    return value if value is not None and value > 8 else default
+
+
+def _search(source, target, instances):
+    """Depth-first over images in source-carrier order; yields each total
+    mapping that passes every instance, in lexicographic order."""
+    carrier, values = source.carrier, target.carrier
+    position = {x: i for i, x in enumerate(carrier)}
+    due = [[] for _ in carrier]
+    for _, _, support, test in instances:
+        due[max(position[x] for x in support)].append((test, support))
+    f = {}
+
+    def assign(i):
+        if i == len(carrier):
+            yield dict(f)
+            return
+        x, tests = carrier[i], due[i]
+        for y in values:
+            f[x] = y
+            if all(test(f, *support) for test, support in tests):
+                yield from assign(i + 1)
+        del f[x]
+
+    return assign(0)
 
 
 def enumerate_morphisms(kind, source, target, cap=None):
     """All total maps source -> target passing the named checker.
 
     kind is one of rm, pm, ir, ip, or "any" for every total map.  The
-    candidate space |target| ** |source| must stay within cap.
+    candidate space |target| ** |source| must stay within cap, although the
+    search visits only the branches no axiom instance has cut.
     """
     if cap is None:
         cap = _map_cap_from_env()
@@ -259,19 +321,12 @@ def enumerate_morphisms(kind, source, target, cap=None):
     n, k = len(target.carrier), len(source.carrier)
     if n**k > cap:
         raise CapExceededError(f"{n}^{k} candidate maps exceed cap {cap}")
-    if kind != "any" and kind not in _GENERATORS:
+    if kind != "any" and kind not in MORPHISM_KINDS:
         raise ValueError(f"unknown morphism kind {kind!r}")
-    found = []
-    for images in product(target.carrier, repeat=k):
-        m = MorphismMap(source, target, dict(zip(source.carrier, images)))
-        if kind == "any":
-            found.append(m)
-            continue
-        gen, cls = _GENERATORS[kind]
-        _require(m, cls)
-        if next(gen(m), None) is None:
-            found.append(m)
-    return tuple(found)
+    instances = () if kind == "any" else _instances(kind, source, target)
+    return tuple(
+        MorphismMap(source, target, f) for f in _search(source, target, instances)
+    )
 
 
 def transport(m, direction):
@@ -281,10 +336,10 @@ def transport(m, direction):
     direction "G": the other way.  The underlying function is unchanged.
     """
     if direction == "C":
-        _require(m, LeftRestrictionSemigroupoid)
+        _require(m.source, m.target, LeftRestrictionSemigroupoid)
         return MorphismMap(build_C(m.source), build_C(m.target), m.mapping)
     if direction == "G":
-        _require(m, OrderedConstellation)
+        _require(m.source, m.target, OrderedConstellation)
         return MorphismMap(build_G(m.source), build_G(m.target), m.mapping)
     raise ValueError(f"direction must be 'C' or 'G', got {direction!r}")
 

@@ -209,6 +209,30 @@ def test_enumerate_respects_cap(capsys, monkeypatch):
     assert code == 2 and "cap" in err
 
 
+def test_non_integer_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CONSTELLA_CAP", "abc")
+    for argv in (("enumerate", "--kind", "lrs", "--size", "1"),
+                 ("theorems", "--size", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: CONSTELLA_CAP must be an integer, got 'abc'"]
+
+
+def test_morphism_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CONSTELLA_CAP", "9")
+    code, out, err = run(capsys, "theorems", "--size", "1")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "exceed cap 9" in err
+
+
+def test_enumerate_size_zero_exits_2(capsys):
+    code, out, err = run(capsys, "enumerate", "--kind", "lrs", "--size", "0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: --size must be at least 1"]
+
+
 def test_theorems_small(capsys):
     code, out, _ = run(capsys, "theorems", "--size", "1")
     assert code == 0

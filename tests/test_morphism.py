@@ -2,8 +2,10 @@ from itertools import product
 
 import pytest
 
-from constella import fixtures
+from constella import enumerate as enumerate_module
+from constella import fixtures, morphism
 from constella.functor import build_C
+from constella.szendrei import expand_constellation
 from constella.morphism import (
     CapExceededError,
     MorphismMap,
@@ -71,6 +73,54 @@ def test_enumerate_cap():
     s = fixtures.ex6_6()
     with pytest.raises(CapExceededError):
         enumerate_morphisms("rm", s, s, cap=10)
+
+
+def test_cap_bounds_the_full_map_space_before_any_search():
+    s = fixtures.ex6_5()
+    space = len(s.carrier) ** len(s.carrier)
+    assert len(enumerate_morphisms("rm", s, s, cap=space)) == 2
+    # ir on semigroupoids would fail the type check; the cap comes first
+    with pytest.raises(CapExceededError):
+        enumerate_morphisms("ir", s, s, cap=space - 1)
+    with pytest.raises(TypeError):
+        enumerate_morphisms("ir", s, s, cap=space)
+
+
+def test_one_cap_error_type():
+    assert morphism.CapExceededError is enumerate_module.CapExceededError
+
+
+def _brute_force(kind, S, T):
+    """Reference: every total map, in lexicographic order, kept when the
+    reporting checker's instances all hold.  The instances are built once
+    per pair, as the reporting checker would build them for each map."""
+    instances = morphism._instances(kind, S, T)
+    found = []
+    for images in product(T.carrier, repeat=len(S.carrier)):
+        f = dict(zip(S.carrier, images))
+        if all(test(f, *support) for _, _, support, test in instances):
+            found.append(MorphismMap(S, T, f))
+    return tuple(found)
+
+
+def _oracle_cases(census_lrs_2, census_lic_2):
+    """(kind, source, target): all four kinds on census and fixture pairs,
+    and the constellation kinds from each expansion Sz(T) to T2."""
+    fx = list(fixtures.lr_fixtures().values())
+    for S1, S2 in list(product(census_lrs_2, repeat=2)) + list(product(fx, repeat=2)):
+        C1, C2 = build_C(S1), build_C(S2)
+        yield from (("rm", S1, S2), ("pm", S1, S2), ("ir", C1, C2), ("ip", C1, C2))
+    for T, T2 in product(census_lic_2, repeat=2):
+        sz = expand_constellation(T)
+        yield from (("ir", sz, T2), ("ip", sz, T2))
+
+
+def test_search_matches_brute_force(census_lrs_2, census_lic_2):
+    cases = list(_oracle_cases(census_lrs_2, census_lic_2))
+    assert len(cases) == 796
+    for kind, source, target in cases:
+        assert enumerate_morphisms(kind, source, target) == \
+            _brute_force(kind, source, target)
 
 
 def test_every_restriction_morphism_is_a_premorphism(census_lrs_2):
