@@ -7,17 +7,12 @@ that the test-suite checks, never an implementation shortcut.
 
 from itertools import product
 
-from .constellation import (
-    corestriction_candidates,
-    plus_components,
-)
 from .core import is_left_identity, is_right_identity
 
 __all__ = [
     "ClassificationReport",
     "CategoryCheck",
     "InverseCheck",
-    "RightInverseCheck",
     "classify_constellation",
     "classify_semigroupoid",
     "detect_category",
@@ -85,41 +80,17 @@ class InverseCheck:
         return f"InverseCheck({self.ok})"
 
 
-class RightInverseCheck:
-    __slots__ = ("ok", "inverse", "witness")
-
-    def __init__(self, ok, inverse=None, witness=None):
-        self.ok = ok
-        self.inverse = inverse
-        self.witness = witness
-
-    def __repr__(self):
-        return f"RightInverseCheck({self.ok})"
-
-
-def _component_maxima(t):
-    """Maximum of each connected component of (T+, <=), None if missing."""
-    maxima = []
-    for group in plus_components(t):
-        top = None
-        for m in group:
-            if all((g, m) in t.order for g in group):
-                top = m
-                break
-        maxima.append((group, top))
-    return maxima
-
-
 def _constellation_nd(t):
     image = t.plus_image()
+    cores = t.corestrictions()
     for x in t.carrier:
-        if not any(corestriction_candidates(t, x, e) for e in image):
+        if not any(cores[x, e].has_candidates for e in image):
             return False, (x,)
     return True, None
 
 
 def _constellation_lc(t):
-    for group, top in _component_maxima(t):
+    for group, top in t.components():
         if top is None:
             return False, (group[0],)
     return True, None
@@ -129,21 +100,18 @@ def _constellation_unitary(t):
     lc, witness = _constellation_lc(t)
     if not lc:
         return False, witness
-    for group, top in _component_maxima(t):
+    cores = t.corestrictions()
+    for _, top in t.components():
         for x in t.carrier:
-            cands = corestriction_candidates(t, x, top)
-            if not cands:
-                continue
-            m = [y for y in cands if all((z, y) in t.order for z in cands)]
-            if not m or m[0] != x:
+            c = cores[x, top]
+            if c.has_candidates and c.value != x:
                 return False, (x, top)
     return True, None
 
 
 def _meet_semilattice(t):
     """Is all of (T+, <=) one meet-semilattice (single component, meets)."""
-    groups = plus_components(t)
-    if len(groups) != 1:
+    if len(t.components()) != 1:
         return False
     image = t.plus_image()
     for e, f in product(image, repeat=2):
@@ -162,9 +130,9 @@ def has_right_inverses(t):
             (w for w in t.carrier if comp.get((x, w)) == t.plus[x]), None
         )
         if w is None:
-            return RightInverseCheck(False, witness=(x,))
+            return InverseCheck(False, witness=(x,))
         inverse[x] = w
-    return RightInverseCheck(True, inverse=inverse)
+    return InverseCheck(True, inverse=inverse)
 
 
 def classify_constellation(t):
@@ -334,9 +302,9 @@ def _semigroupoid_right_inverses(s):
             None,
         )
         if w is None:
-            return RightInverseCheck(False, witness=(x,))
+            return InverseCheck(False, witness=(x,))
         inverse[x] = w
-    return RightInverseCheck(True, inverse=inverse)
+    return InverseCheck(True, inverse=inverse)
 
 
 def classify_semigroupoid(s):

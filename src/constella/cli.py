@@ -49,6 +49,13 @@ def _load(path):
     return parse_structure(Path(path).read_text(encoding="utf-8"))
 
 
+def _reported_invalid(report):
+    """Print a failing report; True when it fails."""
+    if not report.valid:
+        sys.stdout.write(render_report(valid=False, violations=report.violations))
+    return not report.valid
+
+
 def cmd_verify(args):
     s = _load(args.file)
     report = s.validate()
@@ -61,17 +68,13 @@ def cmd_convert(args):
     if args.to == "constellation":
         if not isinstance(s, LeftRestrictionSemigroupoid):
             raise ParseError("convert --to constellation expects a semigroupoid file")
-        report = s.validate()
-        if not report.valid:
-            sys.stdout.write(render_report(valid=False, violations=report.violations))
+        if _reported_invalid(s.validate()):
             return 1
         sys.stdout.write(serialize_structure(build_C(s)))
         return 0
     if not isinstance(s, OrderedConstellation):
         raise ParseError("convert --to semigroupoid expects a constellation file")
-    report = s.validate()
-    if not report.valid:
-        sys.stdout.write(render_report(valid=False, violations=report.violations))
+    if _reported_invalid(s.validate()):
         return 1
     sys.stdout.write(serialize_structure(build_G(s)))
     return 0
@@ -79,9 +82,7 @@ def cmd_convert(args):
 
 def cmd_roundtrip(args):
     s = _load(args.file)
-    report = s.validate()
-    if not report.valid:
-        sys.stdout.write(render_report(valid=False, violations=report.violations))
+    if _reported_invalid(s.validate()):
         return 1
     rt = roundtrip_check(s)
     sys.stdout.write(render_report(valid=rt.equal))
@@ -90,9 +91,7 @@ def cmd_roundtrip(args):
 
 def cmd_expand(args):
     s = _load(args.file)
-    report = s.validate()
-    if not report.valid:
-        sys.stdout.write(render_report(valid=False, violations=report.violations))
+    if _reported_invalid(s.validate()):
         return 1
     if isinstance(s, LeftRestrictionSemigroupoid):
         if args.iota:
@@ -134,9 +133,7 @@ def cmd_extend(args):
     ):
         raise ParseError("extend expects a morphism between constellation files")
     phi = MorphismMap(src, tgt, mapping)
-    report = is_inductive_preradiant(phi)
-    if not report.valid:
-        sys.stdout.write(render_report(valid=False, violations=report.violations))
+    if _reported_invalid(is_inductive_preradiant(phi)):
         return 1
     sz = expand_constellation(src)
     big = extend(phi, sz)
@@ -156,9 +153,7 @@ def cmd_extend(args):
 
 def cmd_classify(args):
     s = _load(args.file)
-    report = s.validate()
-    if not report.valid:
-        sys.stdout.write(render_report(valid=False, violations=report.violations))
+    if _reported_invalid(s.validate()):
         return 1
     if isinstance(s, LeftRestrictionSemigroupoid):
         c = classify_semigroupoid(s)
@@ -297,13 +292,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except CapExceededError as exc:
+    except (ParseError, OSError, UnicodeDecodeError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -2,14 +2,22 @@
 
 An OrderedConstellation carries a partial table (its composition), a total
 plus map and an explicit partial order.  Restriction is computed by scan
-with a uniqueness assertion; corestriction is computed as the maximum of an
-explicit candidate set, so a missing maximum is a first-class diagnostic
-rather than an exception during enumeration filtering.
+with a uniqueness assertion.  Corestriction is the maximum of an explicit
+candidate set, so a missing maximum is a first-class diagnostic rather than
+an exception during enumeration filtering.
+
+Each constellation builds one corestriction index on first use: x|e for
+every x in T and e in T+, and the plus-components with their maxima.  The
+wo checks, pseudo-product, meets, build_G, the radiant checks and the
+classifiers all read it instead of rescanning.
+
+Each axiom family is one lazy violation generator: the reporting checkers
+collect it, and the census stops it at the first violation (core.holds).
 """
 
-from itertools import product
+from itertools import chain
 
-from .core import Violation, ValidationReport, _check_partial_order
+from .core import Violation, ValidationReport, _PlusStructure, _check_partial_order
 
 __all__ = [
     "OrderedConstellation",
@@ -65,6 +73,11 @@ class CorestrictionResult:
     def exists(self):
         return self.kind == "value"
 
+    @property
+    def has_candidates(self):
+        """Some y <= x composes with e (the value may still be missing)."""
+        return self.kind != "empty"
+
     def __eq__(self, other):
         return (
             isinstance(other, CorestrictionResult)
@@ -83,22 +96,18 @@ class CorestrictionResult:
         return f"CorestrictionResult.no_maximum({set(self.candidates)!r})"
 
 
-class OrderedConstellation:
+class OrderedConstellation(_PlusStructure):
     """Partial table + plus map + partial order on one carrier.
 
     The constructor validates shape and that ``order`` is a partial order;
     the constellation and locally-inductive axioms are separate checks.
     """
 
-    __slots__ = ("table", "plus", "order", "_hash")
+    __slots__ = ("order", "_cores", "_components")
 
     def __init__(self, table, plus, order):
-        plus = dict(plus)
+        super().__init__(table, plus)
         members = set(table.carrier)
-        if set(plus) != members:
-            raise ValueError("plus must be total on the carrier")
-        if not set(plus.values()) <= members:
-            raise ValueError("plus image leaves the carrier")
         order = frozenset(order)
         for a, b in order:
             if a not in members or b not in members:
@@ -106,24 +115,36 @@ class OrderedConstellation:
         problem = _check_partial_order(order, table.carrier)
         if problem is not None:
             raise ValueError(f"order is not a partial order: {problem}")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_cores", None)
+        object.__setattr__(self, "_components", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderedConstellation is immutable")
+    def corestrictions(self):
+        """The index {(x, e): x|e as a CorestrictionResult}, x in T, e in T+.
 
-    @property
-    def carrier(self):
-        return self.table.carrier
+        Built by scan on first use and kept, since the structure is
+        immutable.
+        """
+        cores = self._cores
+        if cores is None:
+            cores = {
+                (x, e): _corestriction_scan(self, x, e)
+                for e in self.plus_image()
+                for x in self.carrier
+            }
+            object.__setattr__(self, "_cores", cores)
+        return cores
 
-    def plus_image(self):
-        image = set(self.plus.values())
-        return tuple(x for x in self.carrier if x in image)
-
-    def leq(self, a, b):
-        return (a, b) in self.order
+    def components(self):
+        """The plus-components as (group, maximum) pairs, built on first use;
+        the maximum is None when the component has none."""
+        components = self._components
+        if components is None:
+            components = tuple(
+                (group, _maximum(self, group)) for group in plus_components(self)
+            )
+            object.__setattr__(self, "_components", components)
+        return components
 
     def validate(self):
         return check_constellation(self).merged(check_locally_inductive(self))
@@ -155,36 +176,57 @@ def check_constellation(t):
     c3: for e in T+: ex defined with ex = x iff e = x+.
     c4: for e in T+: xe defined implies xe = x.
     """
-    D = t.table.defined
-    comp = t.table.comp
-    image = t.plus_image()
-    violations = []
+    return ValidationReport(chain(
+        _c12_violations(t.carrier, t.table.defined, t.table.comp),
+        _c34_violations(t.table, t.plus),
+    ))
 
-    for x, y, z in product(t.carrier, repeat=3):
-        xy = comp.get((x, y))
-        yz = comp.get((y, z))
-        lhs = xy is not None and yz is not None
-        rhs = yz is not None and (x, yz) in D
-        if lhs != rhs:
-            violations.append(Violation("c1", (x, y, z)))
-        if lhs:
-            left = comp.get((xy, z))
-            right = comp.get((x, yz))
-            if left is None or right is None or left != right:
-                violations.append(Violation("c2", (x, y, z)))
+
+def _c12_violations(carrier, D, comp):
+    """c1 and c2 on a table whose defined pairs D are fixed.
+
+    comp may still lack the values of some pairs in D, as during the
+    census's table search: an instance is reported once the assigned values
+    already break it, so on a complete table these are exactly the failing
+    instances.
+    """
+    for x in carrier:
+        for y in carrier:
+            xy = comp.get((x, y))
+            xy_defined = (x, y) in D
+            for z in carrier:
+                yz = comp.get((y, z))
+                lhs = xy_defined and (yz is not None or (y, z) in D)
+                if yz is not None and lhs != ((x, yz) in D):
+                    yield Violation("c1", (x, y, z))
+                if not lhs:
+                    continue
+                left = comp.get((xy, z))
+                right = comp.get((x, yz))
+                if left is not None and right is not None:
+                    if left != right:
+                        yield Violation("c2", (x, y, z))
+                elif (xy is not None and (xy, z) not in D) \
+                        or (yz is not None and (x, yz) not in D):
+                    yield Violation("c2", (x, y, z))
+
+
+def _c34_violations(table, plus):
+    D = table.defined
+    comp = table.comp
+    plus_values = set(plus.values())
+    image = [e for e in table.carrier if e in plus_values]
 
     for e in image:
-        for x in t.carrier:
+        for x in table.carrier:
             acts = comp.get((e, x)) == x
-            if acts != (e == t.plus[x]):
-                violations.append(Violation("c3", (e, x)))
+            if acts != (e == plus[x]):
+                yield Violation("c3", (e, x))
 
     for e in image:
-        for x in t.carrier:
+        for x in table.carrier:
             if (x, e) in D and comp[(x, e)] != x:
-                violations.append(Violation("c4", (x, e)))
-
-    return ValidationReport(violations)
+                yield Violation("c4", (x, e))
 
 
 def corestriction_candidates(t, x, e):
@@ -201,10 +243,7 @@ def _maximum(t, elements):
     return None
 
 
-def corestriction(t, x, e):
-    """Corestriction x|e: the maximum element below x composable with e."""
-    if e not in set(t.plus.values()):
-        raise NotApplicableError(f"{e!r} is not in T+")
+def _corestriction_scan(t, x, e):
     cands = corestriction_candidates(t, x, e)
     if not cands:
         return CorestrictionResult.empty()
@@ -212,6 +251,17 @@ def corestriction(t, x, e):
     if m is None:
         return CorestrictionResult.no_maximum(cands)
     return CorestrictionResult.of(m)
+
+
+def corestriction(t, x, e):
+    """Corestriction x|e: the maximum element below x composable with e.
+
+    Read from the corestriction index, which covers x in T and e in T+.
+    """
+    result = t.corestrictions().get((x, e))
+    if result is None:
+        raise NotApplicableError(f"{e!r} is not in T+ or {x!r} is not in T")
+    return result
 
 
 def restriction(t, e, x):
@@ -230,7 +280,7 @@ def restriction(t, e, x):
 
 def pseudo_product(t, a, b):
     """(a|b+) b, or None when the corestriction or the pair is missing."""
-    c = corestriction(t, a, t.plus[b])
+    c = t.corestrictions()[a, t.plus[b]]
     if not c.exists:
         return None
     return t.table.comp.get((c.value, b))
@@ -259,22 +309,14 @@ def plus_components(t):
     return tuple(tuple(g) for g in ordered)
 
 
-def same_component(t, e, f):
-    for group in plus_components(t):
-        if e in group:
-            return f in group
-    return False
-
-
 def meet(t, e, f):
     """Meet of two plus-elements via corestriction; None across components."""
     image = set(t.plus.values())
     if e not in image or f not in image:
         raise NotApplicableError("meet is defined on T+ only")
-    if not same_component(t, e, f):
+    if not any(e in group and f in group for group, _ in t.components()):
         return None
-    c = corestriction(t, e, f)
-    return c.value if c.exists else None
+    return t.corestrictions()[e, f].value
 
 
 def check_locally_inductive(t):
@@ -283,22 +325,16 @@ def check_locally_inductive(t):
     Existence guards (the "x|e is nonempty" side conditions) are tested on
     the candidate sets, so each axiom is decided independently of wo4.
     """
+    return ValidationReport(_li_violations(t))
+
+
+def _li_violations(t):
     D = t.table.defined
     comp = t.table.comp
     order = t.order
     carrier = t.carrier
     plus = t.plus
     image = t.plus_image()
-    violations = []
-
-    def nonempty(x, e):
-        return any((y, x) in order and (y, e) in D for y in carrier)
-
-    def co_max(x, e):
-        cands = corestriction_candidates(t, x, e)
-        if not cands:
-            return None
-        return _maximum(t, cands)
 
     pairs = sorted(order, key=repr)
 
@@ -306,11 +342,11 @@ def check_locally_inductive(t):
         for (x2, y2) in pairs:
             if (x, x2) in D and (y, y2) in D:
                 if (comp[(x, x2)], comp[(y, y2)]) not in order:
-                    violations.append(Violation("wo1", (x, y, x2, y2)))
+                    yield Violation("wo1", (x, y, x2, y2))
 
     for (x, y) in pairs:
         if (plus[x], plus[y]) not in order:
-            violations.append(Violation("wo2", (x, y)))
+            yield Violation("wo2", (x, y))
 
     for e in image:
         for x in carrier:
@@ -318,63 +354,62 @@ def check_locally_inductive(t):
                 continue
             found = [y for y in carrier if (y, x) in order and plus[y] == e]
             if len(found) != 1:
-                violations.append(Violation("wo3", (e, x)))
+                yield Violation("wo3", (e, x))
+
+    cores = t.corestrictions()
 
     for x in carrier:
         for e in image:
-            cands = corestriction_candidates(t, x, e)
-            if cands and _maximum(t, cands) is None:
-                violations.append(Violation("wo4", (x, e)))
+            if cores[x, e].kind == "no_maximum":
+                yield Violation("wo4", (x, e))
+
+    defined = sorted(D, key=repr)
 
     for e in image:
-        for (x, y) in sorted(D, key=repr):
-            if nonempty(comp[(x, y)], e) != nonempty(y, e):
-                violations.append(Violation("wo5", (x, y, e)))
+        for (x, y) in defined:
+            if cores[comp[(x, y)], e].has_candidates != cores[y, e].has_candidates:
+                yield Violation("wo5", (x, y, e))
 
     for e in image:
         for f in image:
             if (f, e) not in order:
                 continue
             for x in carrier:
-                if nonempty(x, e) != nonempty(x, f):
-                    violations.append(Violation("wo6", (x, e, f)))
+                if cores[x, e].has_candidates != cores[x, f].has_candidates:
+                    yield Violation("wo6", (x, e, f))
 
     for e in image:
-        for (x, y) in sorted(D, key=repr):
-            xy = comp[(x, y)]
-            if not nonempty(xy, e):
+        for (x, y) in defined:
+            c_xy = cores[comp[(x, y)], e]
+            if not c_xy.has_candidates:
                 continue
-            m_xy = co_max(xy, e)
-            m_y = co_max(y, e)
-            m_x = None if m_y is None else co_max(x, plus[m_y])
-            if m_xy is None or m_y is None or m_x is None \
-                    or plus[m_xy] != plus[m_x]:
-                violations.append(Violation("wo7", (x, y, e)))
+            m_y = cores[y, e].value
+            m_x = None if m_y is None else cores[x, plus[m_y]].value
+            if c_xy.value is None or m_x is None or plus[c_xy.value] != plus[m_x]:
+                yield Violation("wo7", (x, y, e))
 
     for e in image:
         for f in image:
             if (e, f) not in order:
                 continue
             found = [y for y in carrier if (y, f) in order and plus[y] == e]
-            m = co_max(e, f)
+            m = cores[e, f].value
             if len(found) != 1 or m is None or found[0] != m:
-                violations.append(Violation("wo8", (e, f)))
+                yield Violation("wo8", (e, f))
 
     # wo9: the corestriction restricted to T+ is exactly the partial meet
     # of the local semilattice: within a component it is the meet, across
     # components it must not exist.
-    groups = plus_components(t)
-    component = {}
-    for i, group in enumerate(groups):
-        for e in group:
-            component[e] = i
+    component = {
+        e: i for i, (group, _) in enumerate(t.components()) for e in group
+    }
     for e in image:
         for f in image:
             if component[e] != component[f]:
-                if nonempty(e, f):
-                    violations.append(Violation("wo9", (e, f)))
+                if cores[e, f].has_candidates:
+                    yield Violation("wo9", (e, f))
                 continue
-            m = co_max(e, f)
+            m = cores[e, f].value
             ok = (
                 m is not None
                 and m in component
@@ -388,6 +423,4 @@ def check_locally_inductive(t):
                 )
             )
             if not ok:
-                violations.append(Violation("wo9", (e, f)))
-
-    return ValidationReport(violations)
+                yield Violation("wo9", (e, f))

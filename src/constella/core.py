@@ -15,6 +15,7 @@ __all__ = [
     "InvalidOrderError",
     "check_semigroupoid",
     "check_left_restriction",
+    "holds",
     "natural_order",
     "natural_order_by_witness",
     "idempotents",
@@ -133,11 +134,11 @@ class PartialTable:
         return f"PartialTable({list(self.carrier)!r}, {len(self.comp)} pairs)"
 
 
-class LeftRestrictionSemigroupoid:
-    """A partial table with a total unary ``plus`` map on the carrier.
+class _PlusStructure:
+    """A partial table with a total unary ``plus`` map on its carrier: the
+    immutable shape shared by semigroupoids and constellations.
 
     The constructor checks only shape (plus total, image inside carrier).
-    Use :func:`validate` or the individual checkers for the axioms.
     """
 
     __slots__ = ("table", "plus", "_hash")
@@ -154,7 +155,7 @@ class LeftRestrictionSemigroupoid:
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("LeftRestrictionSemigroupoid is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def carrier(self):
@@ -164,6 +165,15 @@ class LeftRestrictionSemigroupoid:
         """S^+, in carrier order."""
         image = set(self.plus.values())
         return tuple(x for x in self.carrier if x in image)
+
+
+class LeftRestrictionSemigroupoid(_PlusStructure):
+    """A partial table with a total unary ``plus`` map on the carrier.
+
+    Use :func:`validate` or the individual checkers for the axioms.
+    """
+
+    __slots__ = ()
 
     def validate(self):
         return check_semigroupoid(self.table).merged(
@@ -208,30 +218,36 @@ def check_semigroupoid(t):
     A triggered triple must have all four pairs defined with
     (sx)r = s(xr).  Every failing (clause, triple) is reported.
     """
-    D = t.defined
-    comp = t.comp
-    violations = []
-    for s, x, r in product(t.carrier, repeat=3):
-        sx = comp.get((s, x))
-        xr = comp.get((x, r))
-        trig1 = sx is not None and xr is not None
-        trig2 = sx is not None and (sx, r) in D
-        trig3 = xr is not None and (s, xr) in D
-        if not (trig1 or trig2 or trig3):
-            continue
-        ok = (
-            sx is not None
-            and xr is not None
-            and (sx, r) in D
-            and (s, xr) in D
-            and comp[(sx, r)] == comp[(s, xr)]
-        )
-        if ok:
-            continue
-        for axiom, trig in (("s1", trig1), ("s2", trig2), ("s3", trig3)):
-            if trig:
-                violations.append(Violation(axiom, (s, x, r)))
-    return ValidationReport(violations)
+    return ValidationReport(_s_violations(t.carrier, t.defined, t.comp))
+
+
+def _s_violations(carrier, D, comp):
+    """s1-s3 on a table whose defined pairs D are fixed.
+
+    comp may still lack the values of some pairs in D, as during the
+    census's table search: a triple is reported once the assigned values
+    already break it, so on a complete table these are exactly the failing
+    triples.
+    """
+    for s in carrier:
+        for x in carrier:
+            sx = comp.get((s, x))
+            sx_defined = (s, x) in D
+            for r in carrier:
+                xr = comp.get((x, r))
+                trig1 = sx_defined and (xr is not None or (x, r) in D)
+                trig2 = sx is not None and (sx, r) in D
+                trig3 = xr is not None and (s, xr) in D
+                if not (trig1 or trig2 or trig3):
+                    continue
+                if trig1 and (sx is None or (sx, r) in D) \
+                        and (xr is None or (s, xr) in D):
+                    left, right = comp.get((sx, r)), comp.get((s, xr))
+                    if left is None or right is None or left == right:
+                        continue
+                for axiom, trig in (("s1", trig1), ("s2", trig2), ("s3", trig3)):
+                    if trig:
+                        yield Violation(axiom, (s, x, r))
 
 
 def check_left_restriction(t, plus):
@@ -242,20 +258,28 @@ def check_left_restriction(t, plus):
     lr3: e t defined implies e t+ defined and (e t)+ = e t+  (e in S+).
     lr4: s t defined implies s t+ and (s t)+ s defined with s t+ = (s t)+ s.
     """
+    return ValidationReport(_lr_violations(t, plus))
+
+
+def holds(violations):
+    """True when a violation generator yields nothing; stops at the first."""
+    return next(iter(violations), None) is None
+
+
+def _lr_violations(t, plus):
     D = t.defined
     comp = t.comp
     image = sorted(set(plus.values()), key=t.carrier.index)
-    violations = []
 
     for s in t.carrier:
         e = plus[s]
         if comp.get((e, s)) != s:
-            violations.append(Violation("lr1", (s,)))
+            yield Violation("lr1", (s,))
 
     for e, f in product(image, repeat=2):
         d1, d2 = (e, f) in D, (f, e) in D
         if d1 != d2 or (d1 and comp[(e, f)] != comp[(f, e)]):
-            violations.append(Violation("lr2", (e, f)))
+            yield Violation("lr2", (e, f))
 
     for e in image:
         for s in t.carrier:
@@ -264,16 +288,14 @@ def check_left_restriction(t, plus):
             lhs = plus[comp[(e, s)]]
             rhs = comp.get((e, plus[s]))
             if rhs is None or lhs != rhs:
-                violations.append(Violation("lr3", (e, s)))
+                yield Violation("lr3", (e, s))
 
     for (s, x) in sorted(D, key=repr):
         st = comp[(s, x)]
         lhs = comp.get((s, plus[x]))
         rhs = comp.get((plus[st], s))
         if lhs is None or rhs is None or lhs != rhs:
-            violations.append(Violation("lr4", (s, x)))
-
-    return ValidationReport(violations)
+            yield Violation("lr4", (s, x))
 
 
 def _check_partial_order(pairs, carrier):

@@ -1,17 +1,37 @@
 """Exhaustive generation of all valid structures on small carriers.
 
 Tables are generated by choosing a defined-pair subset, then assigning
-values depth-first with a conservative three-valued axiom check after each
-assignment; a branch is cut as soon as some instance of the axioms is
-definitely violated.  The leaf check is complete, so the stream is exactly
-the set of valid structures, in a deterministic order and duplicate-free.
+values depth-first.  After each assignment the reporting checker's own
+violation generator (s1-s3, or c1/c2 on the constellation side) runs on the
+partial table and the branch is cut at its first violation (core.holds):
+on a partial table the generators report only instances that are already
+broken, and on a complete one exactly the failing instances.  So the stream
+is exactly the set of valid structures, in a deterministic order and
+duplicate-free.
+
+Each table is paired only with plus maps that draw x+ from {e : ex = x},
+a condition both lr1 and c3 impose.  The remaining axioms are decided by
+the same generators the reporting checkers collect, stopped at the first
+violation.
 """
 
 import os
 from itertools import product
 
-from .constellation import OrderedConstellation, check_locally_inductive
-from .core import LeftRestrictionSemigroupoid, PartialTable
+from .constellation import (
+    OrderedConstellation,
+    _c12_violations,
+    _c34_violations,
+    _li_violations,
+)
+from .core import (
+    LeftRestrictionSemigroupoid,
+    PartialTable,
+    _check_partial_order,
+    _lr_violations,
+    _s_violations,
+    holds,
+)
 
 __all__ = [
     "CapExceededError",
@@ -64,54 +84,10 @@ def _check_cap(n, cap):
         raise CapExceededError(f"size {n} exceeds cap {cap}")
 
 
-def _no_assoc_violation(carrier, D, comp):
-    """Conservative check of the closure-associativity on a partial table.
-
-    Memberships are fully known (D is fixed); values may be unassigned.
-    Returns False only when some triggered triple can no longer be repaired.
-    """
-    for s, t, r in product(carrier, repeat=3):
-        st = comp.get((s, t))
-        tr = comp.get((t, r))
-        trig = ((s, t) in D and (t, r) in D) \
-            or (st is not None and (st, r) in D) \
-            or (tr is not None and (s, tr) in D)
-        if not trig:
-            continue
-        if (s, t) not in D or (t, r) not in D:
-            return False
-        if st is not None and (st, r) not in D:
-            return False
-        if tr is not None and (s, tr) not in D:
-            return False
-        if st is not None and tr is not None:
-            v1, v2 = comp.get((st, r)), comp.get((s, tr))
-            if v1 is not None and v2 is not None and v1 != v2:
-                return False
-    return True
-
-
-def _no_c12_violation(carrier, D, comp):
-    """Same idea for the constellation laws c1 and c2."""
-    for x, y, z in product(carrier, repeat=3):
-        xy = comp.get((x, y))
-        yz = comp.get((y, z))
-        if (x, y) in D and (y, z) in D:
-            if yz is not None and (x, yz) not in D:
-                return False
-            if xy is not None and (xy, z) not in D:
-                return False
-            if xy is not None and yz is not None:
-                v1, v2 = comp.get((xy, z)), comp.get((x, yz))
-                if v1 is not None and v2 is not None and v1 != v2:
-                    return False
-        elif yz is not None and (x, yz) in D:
-            return False
-    return True
-
-
-def _tables(carrier, partial_check):
-    """All tables on the carrier whose completed form passes partial_check."""
+def _tables(carrier, violations):
+    """All tables on the carrier on which the generator violations(carrier,
+    D, comp) yields nothing; it is run after every assigned value, and a
+    branch is cut at its first violation."""
     pairs = sorted(product(carrier, repeat=2))
     n_pairs = len(pairs)
     for mask in range(1 << n_pairs):
@@ -126,71 +102,40 @@ def _tables(carrier, partial_check):
             key = defined[i]
             for value in carrier:
                 comp[key] = value
-                if partial_check(carrier, D, comp):
+                if holds(violations(carrier, D, comp)):
                     yield from assign(i + 1)
             del comp[key]
 
-        if partial_check(carrier, D, comp):
+        if holds(violations(carrier, D, comp)):
             yield from assign(0)
 
 
-def _plus_maps(carrier):
-    for images in product(carrier, repeat=len(carrier)):
+def _plus_maps(table):
+    """Plus maps with every x+ drawn from {e : ex = x}, in the lexicographic
+    order of the full n^n product.
+
+    ex = x is necessary for e = x+: it is lr1 on the semigroupoid side and
+    one direction of c3 on the constellation side.
+    """
+    comp, carrier = table.comp, table.carrier
+    choices = [[e for e in carrier if comp.get((e, x)) == x] for x in carrier]
+    for images in product(*choices):
         yield dict(zip(carrier, images))
-
-
-def _passes_lr(table, plus):
-    comp = table.comp
-    D = table.defined
-    for s in table.carrier:
-        if comp.get((plus[s], s)) != s:
-            return False
-    image = sorted(set(plus.values()))
-    for e in image:
-        for f in image:
-            d1, d2 = (e, f) in D, (f, e) in D
-            if d1 != d2 or (d1 and comp[(e, f)] != comp[(f, e)]):
-                return False
-    for e in image:
-        for s in table.carrier:
-            if (e, s) in D:
-                rhs = comp.get((e, plus[s]))
-                if rhs is None or plus[comp[(e, s)]] != rhs:
-                    return False
-    for (s, x) in D:
-        st = comp[(s, x)]
-        lhs = comp.get((s, plus[x]))
-        if lhs is None or comp.get((plus[st], s)) != lhs:
-            return False
-    return True
-
-
-def _passes_c34(table, plus):
-    comp = table.comp
-    D = table.defined
-    image = set(plus.values())
-    for e in image:
-        for x in table.carrier:
-            if (comp.get((e, x)) == x) != (e == plus[x]):
-                return False
-            if (x, e) in D and comp[(x, e)] != x:
-                return False
-    return True
 
 
 def enumerate_semigroupoids(n, cap=None):
     """All partial tables on n labels satisfying closure-associativity."""
     _check_cap(n, cap)
-    yield from _tables(carrier_labels(n), _no_assoc_violation)
+    yield from _tables(carrier_labels(n), _s_violations)
 
 
 def enumerate_lr_semigroupoids(n, cap=None):
     """All left restriction semigroupoids on n labels."""
     _check_cap(n, cap)
     carrier = carrier_labels(n)
-    for table in _tables(carrier, _no_assoc_violation):
-        for plus in _plus_maps(carrier):
-            if _passes_lr(table, plus):
+    for table in _tables(carrier, _s_violations):
+        for plus in _plus_maps(table):
+            if holds(_lr_violations(table, plus)):
                 yield LeftRestrictionSemigroupoid(table, plus)
 
 
@@ -204,22 +149,9 @@ def all_partial_orders(carrier):
     orders = []
     for mask in range(1 << len(strict)):
         chosen = {strict[i] for i in range(len(strict)) if mask >> i & 1}
-        ok = True
-        for a, b in chosen:
-            if (b, a) in chosen:
-                ok = False
-                break
-        if not ok:
-            continue
-        for a, b in chosen:
-            for c, d in chosen:
-                if b == c and (a, d) not in chosen:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            orders.append(frozenset(chosen | reflexive))
+        order = frozenset(chosen | reflexive)
+        if _check_partial_order(order, carrier) is None:
+            orders.append(order)
     return orders
 
 
@@ -233,13 +165,13 @@ def enumerate_li_constellations(n, cap=None):
     _check_cap(n, cap)
     carrier = carrier_labels(n)
     orders = all_partial_orders(carrier)
-    for table in _tables(carrier, _no_c12_violation):
-        for plus in _plus_maps(carrier):
-            if not _passes_c34(table, plus):
+    for table in _tables(carrier, _c12_violations):
+        for plus in _plus_maps(table):
+            if not holds(_c34_violations(table, plus)):
                 continue
             for order in orders:
                 t = OrderedConstellation(table, plus, order)
-                if check_locally_inductive(t).valid:
+                if holds(_li_violations(t)):
                     yield t
 
 

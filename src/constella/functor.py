@@ -8,7 +8,7 @@ verbatim so the round trips are literal equalities, not isomorphisms.
 
 from itertools import product
 
-from .constellation import OrderedConstellation, corestriction
+from .constellation import OrderedConstellation
 from .core import LeftRestrictionSemigroupoid, PartialTable, natural_order
 
 __all__ = ["build_C", "build_G", "roundtrip_check", "RoundTripReport"]
@@ -41,16 +41,13 @@ def build_G(t):
 
     x ⊗ y = (x|y+) y, defined whenever the corestriction x|y+ exists.
     """
+    cores = t.corestrictions()
     comp = {}
     for x, y in product(t.carrier, repeat=2):
-        c = corestriction(t, x, t.plus[y])
+        c = cores[x, t.plus[y]]
         if c.exists:
             comp[(x, y)] = t.table.comp[(c.value, y)]
     return LeftRestrictionSemigroupoid(PartialTable(t.carrier, comp), t.plus)
-
-
-def _diff(a, b, names):
-    return tuple(name for name, x, y in names if x != y) or ("equal",)
 
 
 def roundtrip_check(x):

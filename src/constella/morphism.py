@@ -18,7 +18,6 @@ from .constellation import (
     NonUniqueError,
     NotApplicableError,
     OrderedConstellation,
-    corestriction,
     pseudo_product,
     restriction,
 )
@@ -122,13 +121,16 @@ def _order_pairs(axiom, T, L):
         yield axiom, pair, pair, test
 
 
-def _corestrictions(axiom, T, cores):
+def _corestrictions(axiom, T, L):
     """ir4/ip4: f(e) is in L+ and f(x|e) = f(x)|f(e), whenever x|e exists."""
+    source, cores = T.corestrictions(), L.corestrictions()
+
     def test(f, x, e, c):
-        return cores.get((f[x], f[e])) == f[c]
+        core = cores.get((f[x], f[e]))
+        return core is not None and core.value == f[c]
     for e in T.plus_image():
         for x in T.carrier:
-            c = corestriction(T, x, e)
+            c = source[x, e]
             if c.exists:
                 yield axiom, (x, e), (x, e, c.value), test
 
@@ -156,17 +158,6 @@ def _commutes_with_plus(plus):
     return test
 
 
-def _corestriction_table(L):
-    """{(y, g): y|g} for y in L, g in L+, where the corestriction exists."""
-    cores = {}
-    for g in L.plus_image():
-        for y in L.carrier:
-            c = corestriction(L, y, g)
-            if c.exists:
-                cores[(y, g)] = c.value
-    return cores
-
-
 def _rm_instances(S, T):
     yield from _products("rm1", S, _multiplicative(T.table.comp))
     yield from _elements("rm2", S, _commutes_with_plus(T.plus))
@@ -188,11 +179,11 @@ def _ir_instances(T, L):
     yield from _products("ir1", T, _multiplicative(L.table.comp))
     yield from _elements("ir2", T, _commutes_with_plus(L.plus))
     yield from _order_pairs("ir3", T, L)
-    yield from _corestrictions("ir4", T, _corestriction_table(L))
+    yield from _corestrictions("ir4", T, L)
 
 
 def _ip_instances(T, L):
-    cores = _corestriction_table(L)
+    cores = L.corestrictions()
     pseudo = {(a, b): pseudo_product(L, a, b) for a in L.carrier for b in L.carrier}
     l_plus_image = set(L.plus.values())
 
@@ -202,7 +193,7 @@ def _ip_instances(T, L):
     def ip5(f, e, x, r):
         # f(e)|f(x)+ = f(e|x)+, with f(e) in L+
         return f[e] in l_plus_image \
-            and cores.get((f[e], L.plus[f[x]])) == L.plus[f[r]]
+            and cores[f[e], L.plus[f[x]]].value == L.plus[f[r]]
 
     def plus_image(f, e):
         return f[e] in l_plus_image
@@ -210,7 +201,7 @@ def _ip_instances(T, L):
     yield from _products("ip1", T, _weakly_multiplicative(pseudo, L.plus))
     yield from _elements("ip2", T, ip2)
     yield from _order_pairs("ip3", T, L)
-    yield from _corestrictions("ip4", T, cores)
+    yield from _corestrictions("ip4", T, L)
     for e in T.plus_image():
         for x in T.carrier:
             try:

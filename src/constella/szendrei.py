@@ -20,6 +20,7 @@ __all__ = [
     "iota",
     "generation_decomposition",
     "evaluate_term",
+    "evaluate_through",
     "extend",
     "Term",
     "Leaf",
@@ -67,7 +68,7 @@ class SzendreiElement:
         return self._hash
 
     def __str__(self):
-        return "_".join(sorted(self.subset)) + "'" + self.anchor
+        return "_".join(map(str, sorted(self.subset))) + "'" + str(self.anchor)
 
     def __repr__(self):
         return f"SzendreiElement({sorted(self.subset)!r}, {self.anchor!r})"
@@ -223,22 +224,27 @@ def generation_decomposition(sz, el):
 
 def evaluate_term(term, base, sz):
     """Evaluate a term inside the expansion sz of the constellation base."""
+    return evaluate_through(term, iota(base, sz).mapping, sz)
+
+
+def evaluate_through(term, leaves, target):
+    """Evaluate a term in the constellation target, sending each leaf
+    element x to leaves[x]."""
     if isinstance(term, Leaf):
-        x = term.element
-        return SzendreiElement({base.plus[x], x}, x)
+        return leaves[term.element]
     if isinstance(term, Plus):
-        return sz.plus[evaluate_term(term.inner, base, sz)]
+        return target.plus[evaluate_through(term.inner, leaves, target)]
     if isinstance(term, Corestrict):
-        left = evaluate_term(term.left, base, sz)
-        right = evaluate_term(term.right, base, sz)
-        c = corestriction(sz, left, right)
+        left = evaluate_through(term.left, leaves, target)
+        right = evaluate_through(term.right, leaves, target)
+        c = corestriction(target, left, right)
         if not c.exists:
             raise MeetUndefinedError(f"corestriction missing for {term!r}")
         return c.value
     if isinstance(term, Compose):
-        left = evaluate_term(term.left, base, sz)
-        right = evaluate_term(term.right, base, sz)
-        value = sz.table.comp.get((left, right))
+        left = evaluate_through(term.left, leaves, target)
+        right = evaluate_through(term.right, leaves, target)
+        value = target.table.comp.get((left, right))
         if value is None:
             raise MeetUndefinedError(f"composition missing for {term!r}")
         return value

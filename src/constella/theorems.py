@@ -18,7 +18,7 @@ from .classify import (
     detect_inverse_semigroupoid,
     detect_semigroup,
 )
-from .constellation import corestriction, corestriction_candidates
+from .constellation import corestriction
 from .core import idempotents
 from .enumerate import (
     enumerate_li_constellations,
@@ -33,11 +33,9 @@ from .morphism import (
     is_inductive_radiant,
 )
 from .szendrei import (
-    Compose,
-    Corestrict,
-    Leaf,
-    Plus,
+    MeetUndefinedError,
     SzendreiElement,
+    evaluate_through,
     expand_constellation,
     expand_semigroupoid,
     extend,
@@ -246,26 +244,6 @@ def check_szendrei_coherence():
     return TheoremResult("szendrei-coherence", True, "all fixtures")
 
 
-def _term_image(term, phi):
-    """Evaluate a generation term in phi's target, through phi's leaves."""
-    L = phi.target
-    if isinstance(term, Leaf):
-        return phi.mapping[term.element]
-    if isinstance(term, Plus):
-        return L.plus[_term_image(term.inner, phi)]
-    if isinstance(term, Corestrict):
-        c = corestriction(L, _term_image(term.left, phi),
-                          _term_image(term.right, phi))
-        if not c.exists:
-            return None
-        return c.value
-    if isinstance(term, Compose):
-        return L.table.comp.get(
-            (_term_image(term.left, phi), _term_image(term.right, phi))
-        )
-    raise TypeError(f"unknown term {term!r}")
-
-
 def check_universal_property(size):
     """Every enumerated preradiant extends to a unique radiant on the
     expansion; every radiant from the expansion restricts to a preradiant."""
@@ -293,7 +271,12 @@ def check_universal_property(size):
             # ... and through generation witnesses
             for el in sz.carrier:
                 term = generation_decomposition(sz, el)
-                if _term_image(term, phi) != Phi.mapping[el]:
+                try:
+                    agrees = evaluate_through(
+                        term, phi.mapping, phi.target) == Phi.mapping[el]
+                except MeetUndefinedError:
+                    agrees = False
+                if not agrees:
                     return TheoremResult("universal-property", False,
                                          "generation witness disagrees")
             extended += 1
@@ -319,11 +302,7 @@ def _section7_one(s):
     if detect_category(s.table).ok != (rc.nd and rc.unitary):
         return "category detection mismatch"
     # semigroup: table total <=> nd + meet-semilattice <=> all corestrictions
-    all_co = all(
-        corestriction_candidates(c, x, e)
-        for x in c.carrier
-        for e in c.plus_image()
-    )
+    all_co = all(r.has_candidates for r in c.corestrictions().values())
     if detect_semigroup(s.table) != rc.is_semigroup or rc.is_semigroup != all_co:
         return "semigroup three-way equivalence broke"
     # inverse structures: right inverses <=> inverse table with canonical plus

@@ -245,3 +245,17 @@ def test_outputs_are_deterministic(capsys, fixture_dir):
     _, out1, _ = run(capsys, "classify", fixture_path(fixture_dir, "ex6_6"))
     _, out2, _ = run(capsys, "classify", fixture_path(fixture_dir, "ex6_6"))
     assert out1 == out2
+
+
+def test_non_utf8_file_exits_2(capsys, tmp_path):
+    bad = tmp_path / "latin1.sgpd"
+    bad.write_bytes(b"kind semigroupoid\nelements \xe9\n")
+    code, out, err = run(capsys, "verify", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_directory_as_file_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -2,6 +2,7 @@ import pytest
 
 from constella import fixtures
 from constella.constellation import (
+    CorestrictionResult,
     NonUniqueError,
     NotApplicableError,
     OrderedConstellation,
@@ -14,7 +15,9 @@ from constella.constellation import (
     restriction,
 )
 from constella.core import PartialTable
+from constella.enumerate import enumerate_li_constellations
 from constella.functor import build_C
+from constella.szendrei import expand_constellation
 
 
 def C(name):
@@ -219,3 +222,44 @@ def test_restriction_and_corestriction_laws(name):
 def test_candidates_are_reported_in_carrier_order():
     t = C("ex6_3")
     assert corestriction_candidates(t, "e", "f") == ("0",)
+
+
+def _scan_corestriction(t, x, e):
+    cands = corestriction_candidates(t, x, e)
+    tops = [m for m in cands if all((y, m) in t.order for y in cands)]
+    if not cands:
+        return CorestrictionResult.empty()
+    if not tops:
+        return CorestrictionResult.no_maximum(cands)
+    return CorestrictionResult.of(tops[0])
+
+
+def _index_cases():
+    cases = [C(name) for name in sorted(fixtures.all_fixtures())]
+    for n in (1, 2, 3):
+        cases.extend(enumerate_li_constellations(n))
+    cases.append(expand_constellation(C("ex6_7")))
+    # broken: x|e has two incomparable candidates and no maximum
+    table = PartialTable(
+        ["a", "b", "e", "x"],
+        {("a", "e"): "a", ("b", "e"): "b", ("e", "e"): "e"},
+    )
+    order = {("a", "x"), ("b", "x")} | {(z, z) for z in table.carrier}
+    cases.append(OrderedConstellation(table, {z: "e" for z in table.carrier}, order))
+    return cases
+
+
+def test_corestriction_index_matches_the_scan():
+    for t in _index_cases():
+        expected = {
+            (x, e): _scan_corestriction(t, x, e)
+            for x in t.carrier
+            for e in t.plus_image()
+        }
+        assert t.corestrictions() == expected
+        groups = plus_components(t)
+        tops = [
+            next((m for m in g if all((y, m) in t.order for y in g)), None)
+            for g in groups
+        ]
+        assert t.components() == tuple(zip(groups, tops))

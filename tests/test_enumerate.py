@@ -3,9 +3,18 @@ from itertools import product
 import pytest
 
 from constella import fixtures
-from constella.core import PartialTable, check_semigroupoid
+from constella.constellation import _c12_violations, _c34_violations
+from constella.core import (
+    PartialTable,
+    _lr_violations,
+    _s_violations,
+    check_semigroupoid,
+    holds,
+)
 from constella.enumerate import (
     CapExceededError,
+    _plus_maps,
+    _tables,
     all_partial_orders,
     are_isomorphic,
     carrier_labels,
@@ -117,3 +126,17 @@ def test_dedupe_up_to_iso():
     assert len(reps) == 5
     for s in census:
         assert sum(are_isomorphic(s, r)[0] for r in reps) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("table_violations, survives", [
+    (_s_violations, lambda table, plus: holds(_lr_violations(table, plus))),
+    (_c12_violations, lambda table, plus: holds(_c34_violations(table, plus))),
+], ids=["lrs", "lic"])
+def test_pruned_plus_maps_keep_every_survivor_in_order(n, table_violations, survives):
+    # reference: the full n^n product of plus maps, filtered by the checker
+    carrier = carrier_labels(n)
+    for table in _tables(carrier, table_violations):
+        full = (dict(zip(carrier, images)) for images in product(carrier, repeat=n))
+        assert [p for p in _plus_maps(table) if survives(table, p)] == \
+            [p for p in full if survives(table, p)]

@@ -13,7 +13,7 @@ from constella.io import (
     serialize_morphism,
     serialize_structure,
 )
-from constella.szendrei import expand_semigroupoid
+from constella.szendrei import expand_constellation, expand_semigroupoid
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.all_fixtures()))
@@ -168,3 +168,12 @@ def test_report_rendering_is_stable():
         violations=[Violation("lr1", ("a",)), Violation("lr2", ("b", "a"))],
         counts={"size": 2},
     )
+
+
+def test_nested_expansion_serializes():
+    szsz = expand_constellation(expand_constellation(build_C(fixtures.ex6_7())))
+    assert len(szsz.carrier) == 20
+    text = serialize_structure(szsz)
+    reparsed = parse_structure(text)
+    assert reparsed.validate().valid
+    assert serialize_structure(reparsed) == text

@@ -6,17 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from constella import fixtures
-from constella.constellation import corestriction
+from constella.constellation import (
+    OrderedConstellation,
+    _c34_violations,
+    check_constellation,
+    corestriction,
+)
 from constella.core import (
     PartialTable,
+    _lr_violations,
     check_left_restriction,
     check_semigroupoid,
+    holds,
     natural_order,
     natural_order_by_witness,
 )
 from constella.enumerate import (
-    _passes_c34,
-    _passes_lr,
     are_isomorphic,
     enumerate_li_constellations,
     enumerate_lr_semigroupoids,
@@ -65,8 +70,12 @@ def test_semigroupoid_report_is_consistent(t):
 
 @given(tables_with_plus())
 def test_lr_report_agrees_with_fast_predicate(tp):
+    # the census's fail-fast use of the generator against the full report
     t, plus = tp
-    assert check_left_restriction(t, plus).valid == _passes_lr(t, plus)
+    report = check_left_restriction(t, plus)
+    assert holds(_lr_violations(t, plus)) == report.valid
+    assert next(_lr_violations(t, plus), None) == \
+        (report.violations[0] if report.violations else None)
 
 
 @given(st.sampled_from(CENSUS_LRS))
@@ -96,12 +105,13 @@ def test_constellation_roundtrip_on_census(t):
 
 @given(st.sampled_from(CENSUS_LIC), st.data())
 def test_constellation_c34_fast_predicate_agrees(t, data):
+    # the census's fail-fast c3/c4 check against the full report
     plus = {x: data.draw(st.sampled_from(t.carrier)) for x in t.carrier}
-    from constella.constellation import OrderedConstellation, check_constellation
-
     candidate = OrderedConstellation(t.table, plus, t.order)
-    axioms = check_constellation(candidate).axioms()
-    assert (not axioms & {"c3", "c4"}) == _passes_c34(t.table, plus)
+    c34 = [v for v in check_constellation(candidate).violations
+           if v.axiom in {"c3", "c4"}]
+    assert holds(_c34_violations(t.table, plus)) == (not c34)
+    assert next(_c34_violations(t.table, plus), None) == (c34[0] if c34 else None)
 
 
 @given(st.sampled_from(CENSUS_LRS), st.permutations(LABELS[:2]))
