@@ -291,7 +291,17 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does: that ends the
+        # output, not the run.  Stdout goes to devnull so that the flush at
+        # interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ParseError, OSError, UnicodeDecodeError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

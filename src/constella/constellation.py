@@ -15,7 +15,7 @@ Each axiom family is one lazy violation generator: the reporting checkers
 collect it, and the census stops it at the first violation (core.holds).
 """
 
-from itertools import chain
+from itertools import chain, product
 
 from .core import Violation, ValidationReport, _PlusStructure, _check_partial_order
 
@@ -182,33 +182,36 @@ def check_constellation(t):
     ))
 
 
-def _c12_violations(carrier, D, comp):
+def _c12_violations(carrier, D, comp, rows=None):
     """c1 and c2 on a table whose defined pairs D are fixed.
 
     comp may still lack the values of some pairs in D, as during the
     census's table search: an instance is reported once the assigned values
     already break it, so on a complete table these are exactly the failing
-    instances.
+    instances.  rows, an iterable of (x, y, zs), limits the instances to
+    (x, y, z) for z in zs; by default every (x, y, carrier) in carrier
+    order.
     """
-    for x in carrier:
-        for y in carrier:
-            xy = comp.get((x, y))
-            xy_defined = (x, y) in D
-            for z in carrier:
-                yz = comp.get((y, z))
-                lhs = xy_defined and (yz is not None or (y, z) in D)
-                if yz is not None and lhs != ((x, yz) in D):
-                    yield Violation("c1", (x, y, z))
-                if not lhs:
-                    continue
-                left = comp.get((xy, z))
-                right = comp.get((x, yz))
-                if left is not None and right is not None:
-                    if left != right:
-                        yield Violation("c2", (x, y, z))
-                elif (xy is not None and (xy, z) not in D) \
-                        or (yz is not None and (x, yz) not in D):
+    if rows is None:
+        rows = product(carrier, carrier, (carrier,))
+    for x, y, zs in rows:
+        xy = comp.get((x, y))
+        xy_defined = (x, y) in D
+        for z in zs:
+            yz = comp.get((y, z))
+            lhs = xy_defined and (yz is not None or (y, z) in D)
+            if yz is not None and lhs != ((x, yz) in D):
+                yield Violation("c1", (x, y, z))
+            if not lhs:
+                continue
+            left = comp.get((xy, z))
+            right = comp.get((x, yz))
+            if left is not None and right is not None:
+                if left != right:
                     yield Violation("c2", (x, y, z))
+            elif (xy is not None and (xy, z) not in D) \
+                    or (yz is not None and (x, yz) not in D):
+                yield Violation("c2", (x, y, z))
 
 
 def _c34_violations(table, plus):

@@ -221,33 +221,36 @@ def check_semigroupoid(t):
     return ValidationReport(_s_violations(t.carrier, t.defined, t.comp))
 
 
-def _s_violations(carrier, D, comp):
+def _s_violations(carrier, D, comp, rows=None):
     """s1-s3 on a table whose defined pairs D are fixed.
 
     comp may still lack the values of some pairs in D, as during the
     census's table search: a triple is reported once the assigned values
     already break it, so on a complete table these are exactly the failing
-    triples.
+    triples.  rows, an iterable of (s, x, rs), limits the triples to
+    (s, x, r) for r in rs; by default every (s, x, carrier) in carrier
+    order.
     """
-    for s in carrier:
-        for x in carrier:
-            sx = comp.get((s, x))
-            sx_defined = (s, x) in D
-            for r in carrier:
-                xr = comp.get((x, r))
-                trig1 = sx_defined and (xr is not None or (x, r) in D)
-                trig2 = sx is not None and (sx, r) in D
-                trig3 = xr is not None and (s, xr) in D
-                if not (trig1 or trig2 or trig3):
+    if rows is None:
+        rows = product(carrier, carrier, (carrier,))
+    for s, x, rs in rows:
+        sx = comp.get((s, x))
+        sx_defined = (s, x) in D
+        for r in rs:
+            xr = comp.get((x, r))
+            trig1 = sx_defined and (xr is not None or (x, r) in D)
+            trig2 = sx is not None and (sx, r) in D
+            trig3 = xr is not None and (s, xr) in D
+            if not (trig1 or trig2 or trig3):
+                continue
+            if trig1 and (sx is None or (sx, r) in D) \
+                    and (xr is None or (s, xr) in D):
+                left, right = comp.get((sx, r)), comp.get((s, xr))
+                if left is None or right is None or left == right:
                     continue
-                if trig1 and (sx is None or (sx, r) in D) \
-                        and (xr is None or (s, xr) in D):
-                    left, right = comp.get((sx, r)), comp.get((s, xr))
-                    if left is None or right is None or left == right:
-                        continue
-                for axiom, trig in (("s1", trig1), ("s2", trig2), ("s3", trig3)):
-                    if trig:
-                        yield Violation(axiom, (s, x, r))
+            for axiom, trig in (("s1", trig1), ("s2", trig2), ("s3", trig3)):
+                if trig:
+                    yield Violation(axiom, (s, x, r))
 
 
 def check_left_restriction(t, plus):

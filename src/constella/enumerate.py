@@ -1,13 +1,16 @@
 """Exhaustive generation of all valid structures on small carriers.
 
-Tables are generated by choosing a defined-pair subset, then assigning
-values depth-first.  After each assignment the reporting checker's own
-violation generator (s1-s3, or c1/c2 on the constellation side) runs on the
-partial table and the branch is cut at its first violation (core.holds):
+Tables are generated by choosing a defined-pair subset D, then assigning
+values depth-first.  Each defined pair ab draws its value only from the v
+with Ldom(v) = Ldom(a) and Rdom(b) a subset of Rdom(v), which s1-s3 and
+c1/c2 both impose (a D with an empty choice is skipped).  After each
+assignment the reporting checker's own violation generator (s1-s3, or
+c1/c2 on the constellation side) runs on the rows of instances that read
+the new value, and the branch is cut at its first violation (core.holds):
 on a partial table the generators report only instances that are already
-broken, and on a complete one exactly the failing instances.  So the stream
-is exactly the set of valid structures, in a deterministic order and
-duplicate-free.
+broken, and on a complete one exactly the failing instances, so every
+other instance still holds.  The stream is exactly the set of valid
+structures, in a deterministic order and duplicate-free.
 
 Each table is paired only with plus maps that draw x+ from {e : ex = x},
 a condition both lr1 and c3 impose.  The remaining axioms are decided by
@@ -86,12 +89,23 @@ def _check_cap(n, cap):
 
 def _tables(carrier, violations):
     """All tables on the carrier on which the generator violations(carrier,
-    D, comp) yields nothing; it is run after every assigned value, and a
-    branch is cut at its first violation."""
+    D, comp, rows) yields nothing, in mask order and then in carrier order
+    of the values.
+
+    Each defined pair takes its values from _value_choices, and a mask in
+    which some pair has none is skipped.  After each assigned value the
+    generator runs on the rows that read it (_reading_rows), and a branch is
+    cut at its first violation.  This is exact: every instance held before
+    the assignment, and only those reading the new value can change.  The
+    empty table is not checked, as no instance triggers on it.
+    """
     pairs = sorted(product(carrier, repeat=2))
     n_pairs = len(pairs)
     for mask in range(1 << n_pairs):
         defined = [pairs[i] for i in range(n_pairs) if mask >> i & 1]
+        choices = _value_choices(carrier, defined)
+        if choices is None:
+            continue
         D = frozenset(defined)
         comp = {}
 
@@ -99,15 +113,57 @@ def _tables(carrier, violations):
             if i == len(defined):
                 yield PartialTable(carrier, comp)
                 return
-            key = defined[i]
-            for value in carrier:
+            key = a, b = defined[i]
+            for value in choices[i]:
                 comp[key] = value
-                if holds(violations(carrier, D, comp)):
+                rows = _reading_rows(carrier, comp, a, b)
+                if holds(violations(carrier, D, comp, rows)):
                     yield from assign(i + 1)
             del comp[key]
 
-        if holds(violations(carrier, D, comp)):
-            yield from assign(0)
+        yield from assign(0)
+
+
+def _value_choices(carrier, defined):
+    """For each defined pair (a, b), in order, the values v in carrier order
+    with Ldom(v) = Ldom(a) and Rdom(b) a subset of Rdom(v); None when some
+    pair has no such value.
+
+    Ldom(v) = {s : sv defined} and Rdom(v) = {r : vr defined}.  Both
+    s1-s3 and c1/c2 impose this on v = ab: an s with sa defined has s(ab)
+    defined and conversely (s1, s3; c1), and an r with br defined has
+    (ab)r defined (s1; c2).
+    """
+    ldom = {v: set() for v in carrier}
+    rdom = {v: set() for v in carrier}
+    for s, x in defined:
+        ldom[x].add(s)
+        rdom[s].add(x)
+    choices = []
+    for a, b in defined:
+        values = [v for v in carrier
+                  if ldom[v] == ldom[a] and rdom[b] <= rdom[v]]
+        if not values:
+            return None
+        choices.append(values)
+    return choices
+
+
+def _reading_rows(carrier, comp, a, b):
+    """The rows (s, x, rs) of the instances (s, x, r) whose verdict reads
+    comp[(a, b)]: as sx in (a, b, r), as xr in (s, a, b), as (sx)r in
+    (s, x, b) with sx = a, and as s(xr) in (a, x, r) with xr = b."""
+    yield a, b, carrier
+    only_b = (b,)
+    for s in carrier:
+        yield s, a, only_b
+    for (s, x), value in comp.items():
+        if value == a:
+            yield s, x, only_b
+    for x in carrier:
+        rs = [r for r in carrier if comp.get((x, r)) == b]
+        if rs:
+            yield a, x, rs
 
 
 def _plus_maps(table):

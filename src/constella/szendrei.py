@@ -90,6 +90,20 @@ def _sz_carrier(carrier, plus):
     return tuple(sorted(elements))
 
 
+def _member_lookup(carrier):
+    """(subset, anchor) -> the carrier's own element, so that the tables of
+    an expansion hold carrier members and their lookups match by identity.
+    A pair outside the carrier (from an invalid input) is built fresh, for
+    the table constructor to reject."""
+    index = {(p.subset, p.anchor): p for p in carrier}
+
+    def member(subset, anchor):
+        found = index.get((frozenset(subset), anchor))
+        return found if found is not None else SzendreiElement(subset, anchor)
+
+    return member
+
+
 def expand_semigroupoid(s):
     """Expansion of a left restriction semigroupoid.
 
@@ -98,6 +112,7 @@ def expand_semigroupoid(s):
     """
     comp = s.table.comp
     carrier = _sz_carrier(s.carrier, s.plus)
+    member = _member_lookup(carrier)
     sz_comp = {}
     for p in carrier:
         for q in carrier:
@@ -107,8 +122,8 @@ def expand_semigroupoid(s):
             ab_plus = s.plus[ab]
             subset = {comp[(ab_plus, x)] for x in p.subset}
             subset |= {comp[(p.anchor, y)] for y in q.subset}
-            sz_comp[(p, q)] = SzendreiElement(subset, ab)
-    plus = {p: SzendreiElement(p.subset, s.plus[p.anchor]) for p in carrier}
+            sz_comp[(p, q)] = member(subset, ab)
+    plus = {p: member(p.subset, s.plus[p.anchor]) for p in carrier}
     return LeftRestrictionSemigroupoid(PartialTable(carrier, sz_comp), plus)
 
 
@@ -120,6 +135,7 @@ def expand_constellation(t):
     """
     comp = t.table.comp
     carrier = _sz_carrier(t.carrier, t.plus)
+    member = _member_lookup(carrier)
     sz_comp = {}
     for p in carrier:
         for q in carrier:
@@ -129,8 +145,8 @@ def expand_constellation(t):
             images = [comp.get((p.anchor, y)) for y in q.subset]
             if any(img is None or img not in p.subset for img in images):
                 continue
-            sz_comp[(p, q)] = SzendreiElement(p.subset, ab)
-    plus = {p: SzendreiElement(p.subset, t.plus[p.anchor]) for p in carrier}
+            sz_comp[(p, q)] = member(p.subset, ab)
+    plus = {p: member(p.subset, t.plus[p.anchor]) for p in carrier}
     order = set()
     for p in carrier:
         for q in carrier:

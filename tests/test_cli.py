@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from constella import fixtures
 from constella.cli import main
@@ -259,3 +263,19 @@ def test_directory_as_file_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "verify", str(tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader is gone before the first write, as with `| head -1`
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "constella.cli",
+         "enumerate", "--kind", "lrs", "--size", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

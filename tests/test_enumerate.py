@@ -14,6 +14,7 @@ from constella.core import (
 from constella.enumerate import (
     CapExceededError,
     _plus_maps,
+    _reading_rows,
     _tables,
     all_partial_orders,
     are_isomorphic,
@@ -140,3 +141,91 @@ def test_pruned_plus_maps_keep_every_survivor_in_order(n, table_violations, surv
         full = (dict(zip(carrier, images)) for images in product(carrier, repeat=n))
         assert [p for p in _plus_maps(table) if survives(table, p)] == \
             [p for p in full if survives(table, p)]
+
+
+def _reference_tables(carrier, violations):
+    # the unpruned search: every carrier value for every defined pair, and
+    # the full scan after every assigned value
+    pairs = sorted(product(carrier, repeat=2))
+    for mask in range(1 << len(pairs)):
+        defined = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        D = frozenset(defined)
+        comp = {}
+
+        def assign(i):
+            if i == len(defined):
+                yield PartialTable(carrier, comp)
+                return
+            for value in carrier:
+                comp[defined[i]] = value
+                if holds(violations(carrier, D, comp)):
+                    yield from assign(i + 1)
+            del comp[defined[i]]
+
+        yield from assign(0)
+
+
+TABLE_GENERATORS = pytest.mark.parametrize(
+    "violations", [_s_violations, _c12_violations], ids=["s", "c12"])
+
+
+@TABLE_GENERATORS
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_table_search_matches_the_unpruned_search(n, violations):
+    carrier = carrier_labels(n)
+    assert list(_tables(carrier, violations)) == \
+        list(_reference_tables(carrier, violations))
+
+
+def _tables_and_mutants():
+    """Fixture and census tables (n <= 2), each with its single edits: one
+    value changed, one defined pair dropped, one undefined pair added."""
+    tables = [s.table for s in fixtures.all_fixtures().values()]
+    for n in (1, 2):
+        carrier = carrier_labels(n)
+        tables += _tables(carrier, _s_violations)
+        tables += _tables(carrier, _c12_violations)
+    for table in tables:
+        yield table
+        carrier, comp = table.carrier, table.comp
+        for key in product(carrier, repeat=2):
+            if key in comp:
+                yield PartialTable(
+                    carrier, {k: v for k, v in comp.items() if k != key})
+            for value in carrier:
+                if comp.get(key) != value:
+                    yield PartialTable(carrier, {**comp, key: value})
+
+
+@TABLE_GENERATORS
+def test_listed_rows_match_the_default_scan(violations):
+    for t in _tables_and_mutants():
+        rows = [(s, x, t.carrier) for s in t.carrier for x in t.carrier]
+        assert list(violations(t.carrier, t.defined, t.comp, rows)) == \
+            list(violations(t.carrier, t.defined, t.comp))
+
+
+@TABLE_GENERATORS
+def test_reading_rows_cover_exactly_the_instances_reading_the_pair(violations):
+    for t in _tables_and_mutants():
+        comp = t.comp
+        full = list(violations(t.carrier, t.defined, comp))
+        for a, b in t.defined:
+            rows = _reading_rows(t.carrier, comp, a, b)
+            reading = {v for v in full if (a, b) in _keys_read(comp, v.witness)}
+            assert set(violations(t.carrier, t.defined, comp, rows)) == reading
+
+
+def _keys_read(comp, instance):
+    s, x, r = instance
+    return {(s, x), (x, r), (comp.get((s, x)), r), (s, comp.get((x, r)))}
+
+
+@TABLE_GENERATORS
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_empty_table_has_no_violations(n, violations):
+    carrier = carrier_labels(n)
+    pairs = sorted(product(carrier, repeat=2))
+    for mask in range(1 << len(pairs)):
+        D = frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
+        assert holds(violations(carrier, D, {}))

@@ -68,6 +68,17 @@ def test_expansions_pass_all_checks(name):
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.all_fixtures()))
+def test_expansion_values_are_carrier_members(name):
+    s = fixtures.all_fixtures()[name]
+    t = build_C(s)
+    for sz in (expand_semigroupoid(s), expand_constellation(t),
+               expand_constellation(expand_constellation(t))):
+        members = {id(p) for p in sz.carrier}
+        assert all(id(v) in members for v in sz.table.comp.values())
+        assert all(id(v) in members for v in sz.plus.values())
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.all_fixtures()))
 def test_expansion_coherence_identities(name):
     s = fixtures.all_fixtures()[name]
     t = build_C(s)
