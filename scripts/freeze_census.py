@@ -6,7 +6,9 @@ the pruned enumerator, the same census recounted by a naive full-product
 enumeration with the complete checker at every leaf, and the count of
 locally inductive constellations from the separate constellation-side
 enumerator.  All three must agree before a constant is frozen in
-constella.theorems.FROZEN_CENSUS_COUNTS.
+constella.theorems.FROZEN_CENSUS_COUNTS.  The isomorphism-class counts of
+the two sides (lrs_classes, lic_classes) are printed after them and must
+agree too.
 
 The naive route visits (n+1)^(n^2) tables (every defined-pair set with
 every value assignment), so above NAIVE_MAX_SIZE it is skipped with that
@@ -22,6 +24,7 @@ from itertools import product
 from constella.core import PartialTable, check_left_restriction, check_semigroupoid
 from constella.enumerate import (
     carrier_labels,
+    dedupe_up_to_iso,
     enumerate_li_constellations,
     enumerate_lr_semigroupoids,
 )
@@ -55,13 +58,15 @@ def main():
 
     for n in range(1, args.max_size + 1):
         t0 = time.time()
-        lrs = sum(1 for _ in enumerate_lr_semigroupoids(n, cap=args.max_size))
-        lic = sum(1 for _ in enumerate_li_constellations(n, cap=args.max_size))
-        line = f"size {n}: lrs={lrs} lic={lic}"
+        lrs = list(enumerate_lr_semigroupoids(n, cap=args.max_size))
+        lic = list(enumerate_li_constellations(n, cap=args.max_size))
+        line = f"size {n}: lrs={len(lrs)} lic={len(lic)}"
         if n > NAIVE_MAX_SIZE:
             line += f" naive=skipped ({n + 1}^{n * n} tables)"
         elif not args.skip_naive:
             line += f" naive={naive_lr_count(n)}"
+        line += (f" lrs_classes={len(dedupe_up_to_iso(lrs))}"
+                 f" lic_classes={len(dedupe_up_to_iso(lic))}")
         print(line + f"  [{time.time() - t0:.1f}s]")
 
 

@@ -328,16 +328,20 @@ def check_locally_inductive(t):
     Existence guards (the "x|e is nonempty" side conditions) are tested on
     the candidate sets, so each axiom is decided independently of wo4.
     """
-    return ValidationReport(_li_violations(t))
+    return ValidationReport(chain(
+        _order_violations(t.table, t.plus, t.order),
+        _index_violations(t),
+    ))
 
 
-def _li_violations(t):
-    D = t.table.defined
-    comp = t.table.comp
-    order = t.order
-    carrier = t.carrier
-    plus = t.plus
-    image = t.plus_image()
+def _order_violations(table, plus, order):
+    """wo1-wo3, which read no corestriction, so the census can test them
+    before it builds the constellation."""
+    D = table.defined
+    comp = table.comp
+    carrier = table.carrier
+    plus_values = set(plus.values())
+    image = [e for e in carrier if e in plus_values]
 
     pairs = sorted(order, key=repr)
 
@@ -359,6 +363,15 @@ def _li_violations(t):
             if len(found) != 1:
                 yield Violation("wo3", (e, x))
 
+
+def _index_violations(t):
+    """wo4-wo9, read from the constellation's corestriction index."""
+    D = t.table.defined
+    comp = t.table.comp
+    order = t.order
+    carrier = t.carrier
+    plus = t.plus
+    image = t.plus_image()
     cores = t.corestrictions()
 
     for x in carrier:

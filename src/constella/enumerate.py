@@ -12,6 +12,12 @@ broken, and on a complete one exactly the failing instances, so every
 other instance still holds.  The stream is exactly the set of valid
 structures, in a deterministic order and duplicate-free.
 
+None of these conditions names a label, so relabelling the carrier maps
+valid tables to valid tables.  The search therefore visits only the least
+D of each orbit under the n! relabellings, and there only the tables that
+are lex-least under the relabellings fixing that D; every other table is
+rebuilt by relabelling a kept one and put back in search order (_tables).
+
 Each table is paired only with plus maps that draw x+ from {e : ex = x},
 a condition both lr1 and c3 impose.  The remaining axioms are decided by
 the same generators the reporting checkers collect, stopped at the first
@@ -19,13 +25,14 @@ violation.
 """
 
 import os
-from itertools import product
+from itertools import permutations, product
 
 from .constellation import (
     OrderedConstellation,
     _c12_violations,
     _c34_violations,
-    _li_violations,
+    _index_violations,
+    _order_violations,
 )
 from .core import (
     LeftRestrictionSemigroupoid,
@@ -50,6 +57,13 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 4
+
+# _tables keeps one byte per defined-pair mask: a permutation index below
+# _EMPTY (n! <= 120), _EMPTY for a mask whose orbit holds no table, and
+# _UNSEEN before the mask's orbit is searched.
+_MAX_TABLE_CARRIER = 5
+_EMPTY = 254
+_UNSEEN = 255
 
 
 class CapExceededError(RuntimeError):
@@ -90,38 +104,151 @@ def _check_cap(n, cap):
 def _tables(carrier, violations):
     """All tables on the carrier on which the generator violations(carrier,
     D, comp, rows) yields nothing, in mask order and then in carrier order
-    of the values.
+    of the values, each comp keyed in mask order.
 
-    Each defined pair takes its values from _value_choices, and a mask in
-    which some pair has none is skipped.  After each assigned value the
-    generator runs on the rows that read it (_reading_rows), and a branch is
-    cut at its first violation.  This is exact: every instance held before
-    the assignment, and only those reading the new value can change.  The
-    empty table is not checked, as no instance triggers on it.
+    Relabelling the carrier by a permutation h maps the valid tables on a
+    defined-pair mask m one to one onto those on h(m): s1-s3, c1/c2 and
+    the _value_choices filter are stated without reference to labels.  So
+    only the least mask of each orbit (the first one met in mask order) is
+    searched, and there only for the tables that no permutation fixing the
+    mask maps to a lex-smaller one (values compared by carrier index, in
+    mask order): a value is dropped as soon as some such permutation makes
+    the assigned prefix smaller.  Every table on a mask h(rep) is then
+    h(g(t)) for g fixing rep and t a kept table, and these are rebuilt,
+    deduplicated and sorted, which is the order the full search yields.
+
+    On the searched mask each defined pair takes its values from
+    _value_choices, and a mask in which some pair has none is skipped with
+    its orbit.  After each assigned value the generator runs on the rows
+    that read it (_reading_rows), and a branch is cut at its first
+    violation.  This is exact: every instance held before the assignment,
+    and only those reading the new value can change.  The empty table is
+    not checked, as no instance triggers on it.
+
+    The per-mask state is one byte (the permutation that carries the
+    orbit's least mask to it), so carriers are limited to 5 elements.
     """
+    n = len(carrier)
+    if n > _MAX_TABLE_CARRIER:
+        raise CapExceededError(
+            f"table search capped at {_MAX_TABLE_CARRIER} elements")
     pairs = sorted(product(carrier, repeat=2))
-    n_pairs = len(pairs)
-    for mask in range(1 << n_pairs):
-        defined = [pairs[i] for i in range(n_pairs) if mask >> i & 1]
-        choices = _value_choices(carrier, defined)
-        if choices is None:
-            continue
-        D = frozenset(defined)
-        comp = {}
+    position = {pair: q for q, pair in enumerate(pairs)}
+    index = {x: i for i, x in enumerate(carrier)}
+    perms = list(permutations(range(n)))  # perms[0] is the identity
+    number = {p: k for k, p in enumerate(perms)}
+    inverse = [number[tuple(sorted(range(n), key=p.__getitem__))]
+               for p in perms]
+    # moved[k][q]: the bit of pair q relabelled by perms[k]
+    moved = [[position[carrier[p[index[a]]], carrier[p[index[b]]]]
+              for a, b in pairs] for p in perms]
+    # bytewise[k][c][v]: the byte v at byte c of a mask relabelled by
+    # perms[k], so that a mask is relabelled by a few lookups
+    bytewise = [[_relabelled_bytes(bit_images[c:c + 8])
+                 for c in range(0, len(pairs), 8)] for bit_images in moved]
 
-        def assign(i):
-            if i == len(defined):
-                yield PartialTable(carrier, comp)
-                return
-            key = a, b = defined[i]
-            for value in choices[i]:
+    def bits(mask):
+        return [q for q in range(len(pairs)) if mask >> q & 1]
+
+    def image(k, mask):
+        out = 0
+        for table in bytewise[k]:
+            out |= table[mask & 255]
+            mask >>= 8
+        return out
+
+    def slots(k, src, dst):
+        # perms[k] carries a table on bits src to one on bits dst whose
+        # j-th value is perms[k] of the source's slots[j]-th value
+        where = {q: j for j, q in enumerate(src)}
+        back = moved[inverse[k]]
+        return [where[back[q]] for q in dst]
+
+    orbit_of = bytearray([_UNSEEN]) * (1 << len(pairs))
+    searched = {}  # least mask -> (its bits, its stabilizer, kept tables)
+    for mask in range(1 << len(pairs)):
+        k = orbit_of[mask]
+        if k == _EMPTY:
+            continue
+        qs = bits(mask)
+        if k == _UNSEEN:  # the least mask of its orbit
+            images = [image(h, mask) for h in range(len(perms))]
+            stabilizer = [g for g, m in enumerate(images) if m == mask]
+            kept = _least_tables(
+                carrier, violations, [pairs[q] for q in qs],
+                [(perms[g], slots(g, qs, qs)) for g in stabilizer[1:]])
+            for h, m in enumerate(images):
+                if orbit_of[m] == _UNSEEN:
+                    orbit_of[m] = h if kept else _EMPTY
+            if not kept:
+                continue
+            searched[mask] = qs, stabilizer, kept
+            k = 0
+        rep_qs, stabilizer, kept = searched[image(inverse[k], mask)]
+        tables = set()
+        for g in stabilizer:
+            hg = number[tuple(perms[k][i] for i in perms[g])]
+            p, src = perms[hg], slots(hg, rep_qs, qs)
+            tables.update(bytes(p[t[s]] for s in src) for t in kept)
+        defined = [pairs[q] for q in qs]
+        for t in sorted(tables):
+            yield PartialTable(
+                carrier, {key: carrier[v] for key, v in zip(defined, t)})
+
+
+def _relabelled_bytes(bit_images):
+    """For each byte value, the mask of the bit_images of its set bits."""
+    table = [0] * (1 << len(bit_images))
+    for v in range(1, len(table)):
+        low = v & -v
+        table[v] = table[v ^ low] | 1 << bit_images[low.bit_length() - 1]
+    return table
+
+
+def _least_tables(carrier, violations, defined, symmetries):
+    """The valid tables on the defined pairs, as bytes of value indices,
+    that no symmetry (g, slots) maps to a lex-smaller table; g(t) has
+    g[t[slots[j]]] at position j."""
+    choices = _value_choices(carrier, defined)
+    if choices is None:
+        return []
+    index = {x: i for i, x in enumerate(carrier)}
+    D = frozenset(defined)
+    comp = {}
+    values = []
+    kept = []
+
+    def smaller_image():
+        last = len(values)
+        for g, slots in symmetries:
+            for j in range(last):
+                s = slots[j]
+                if s >= last:
+                    break
+                v = g[values[s]]
+                if v != values[j]:
+                    if v < values[j]:
+                        return True
+                    break
+        return False
+
+    def assign(i):
+        if i == len(defined):
+            kept.append(bytes(values))
+            return
+        key = a, b = defined[i]
+        for value in choices[i]:
+            values.append(index[value])
+            if not smaller_image():
                 comp[key] = value
                 rows = _reading_rows(carrier, comp, a, b)
                 if holds(violations(carrier, D, comp, rows)):
-                    yield from assign(i + 1)
-            del comp[key]
+                    assign(i + 1)
+            values.pop()
+        comp.pop(key, None)
 
-        yield from assign(0)
+    assign(0)
+    return kept
 
 
 def _value_choices(carrier, defined):
@@ -226,14 +353,14 @@ def enumerate_li_constellations(n, cap=None):
             if not holds(_c34_violations(table, plus)):
                 continue
             for order in orders:
+                if not holds(_order_violations(table, plus, order)):
+                    continue
                 t = OrderedConstellation(table, plus, order)
-                if holds(_li_violations(t)):
+                if holds(_index_violations(t)):
                     yield t
 
 
 def _permutations(src, dst):
-    from itertools import permutations
-
     for image in permutations(dst):
         yield dict(zip(src, image))
 
@@ -269,10 +396,34 @@ def are_isomorphic(a, b):
     return False, None
 
 
+def _canonical_key(structure):
+    """The least label-free encoding of the structure over all n!
+    relabellings of its carrier by 0..n-1, with its type: two structures
+    have the same key exactly when are_isomorphic finds a mapping."""
+    carrier = structure.carrier
+    if len(carrier) > 8:
+        raise CapExceededError("isomorphism search capped at 8 elements")
+    comp = structure.table.comp.items()
+    plus = structure.plus.items()
+    order = (structure.order if isinstance(structure, OrderedConstellation)
+             else ())
+
+    def encoded(image):
+        p = dict(zip(carrier, image))
+        return (
+            tuple(sorted((p[a], p[b], p[c]) for (a, b), c in comp)),
+            tuple(sorted((p[x], p[e]) for x, e in plus)),
+            tuple(sorted((p[a], p[b]) for a, b in order)),
+        )
+
+    relabellings = permutations(range(len(carrier)))
+    return type(structure), min(map(encoded, relabellings))
+
+
 def dedupe_up_to_iso(structures):
-    """Deterministic list of isomorphism-class representatives."""
-    reps = []
+    """Deterministic list of isomorphism-class representatives: the first
+    structure met of each class, in input order."""
+    reps = {}
     for s in structures:
-        if not any(are_isomorphic(s, r)[0] for r in reps):
-            reps.append(s)
-    return reps
+        reps.setdefault(_canonical_key(s), s)
+    return list(reps.values())

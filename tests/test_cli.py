@@ -279,3 +279,19 @@ def test_closed_stdout_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_enumerate_output_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for kind in ("lrs", "lic"):
+        outputs = []
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-m", "constella.cli",
+                 "enumerate", "--kind", kind, "--size", "3"],
+                capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0 and proc.stderr == b""
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and outputs[0]

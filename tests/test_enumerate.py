@@ -1,4 +1,5 @@
-from itertools import product
+import hashlib
+from itertools import permutations, product
 
 import pytest
 
@@ -121,6 +122,33 @@ def test_census_contains_relabeled_ex6_5():
     assert any(are_isomorphic(t, target)[0] for t in census)
 
 
+def _pairwise_dedupe(structures):
+    reps = []
+    for s in structures:
+        if not any(are_isomorphic(s, r)[0] for r in reps):
+            reps.append(s)
+    return reps
+
+
+@pytest.mark.parametrize("census", [
+    enumerate_lr_semigroupoids, enumerate_li_constellations], ids=["lrs", "lic"])
+def test_canonical_dedupe_matches_the_pairwise_scan(census):
+    structures = list(census(3))
+    reps = dedupe_up_to_iso(structures)
+    assert reps == _pairwise_dedupe(structures)
+    assert len(reps) == 25
+
+
+def test_dedupe_is_capped_at_eight():
+    from constella.core import LeftRestrictionSemigroupoid
+
+    labels = [str(i) for i in range(9)]
+    table = PartialTable(labels, {(x, x): x for x in labels})
+    big = LeftRestrictionSemigroupoid(table, {x: x for x in labels})
+    with pytest.raises(CapExceededError):
+        dedupe_up_to_iso([big])
+
+
 def test_dedupe_up_to_iso():
     census = list(enumerate_lr_semigroupoids(2))
     reps = dedupe_up_to_iso(census)
@@ -177,6 +205,76 @@ def test_table_search_matches_the_unpruned_search(n, violations):
         list(_reference_tables(carrier, violations))
 
 
+def _stream_digest(tables):
+    digest = hashlib.sha256()
+    for t in tables:
+        digest.update(repr(list(t.comp.items())).encode() + b"\n")
+    return digest.hexdigest()
+
+
+# recorded from the search that visited every defined-pair set and every
+# table on it; the digest reads each comp's keys in order
+@pytest.mark.parametrize("violations, count, digest", [
+    (_s_violations, 8108,
+     "ac5d3e2d42452094a8552c6cb1ccc3f4a3b31195389c8a16390f2dd5a6470929"),
+    (_c12_violations, 46696,
+     "1b78636067b07c2f4e757e061ab645663621155efe4e18a47acadbc03d06cd87"),
+], ids=["s", "c12"])
+def test_size_4_table_streams_are_frozen(violations, count, digest):
+    tables = list(_tables(carrier_labels(4), violations))
+    assert len(tables) == count
+    assert _stream_digest(tables) == digest
+
+
+@TABLE_GENERATORS
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_least_masks_keep_exactly_the_lex_least_tables(n, violations):
+    # the complete tables the search accepts, against the reference search's
+    # tables on each defined-pair set that no relabelling makes smaller,
+    # kept when no relabelling fixing the set makes them lex-smaller
+    # (values by carrier index, in pair order)
+    carrier = carrier_labels(n)
+    accepted = {}
+
+    def recording(carrier, D, comp, rows):
+        found = list(violations(carrier, D, comp, rows))
+        if not found and len(comp) == len(D):
+            accepted.setdefault(D, []).append(dict(comp))
+        return iter(found)
+
+    assert list(_tables(carrier, recording)) == \
+        list(_tables(carrier, violations))
+
+    index = {x: i for i, x in enumerate(carrier)}
+    pairs = sorted(product(carrier, repeat=2))
+    bit = {pair: 1 << q for q, pair in enumerate(pairs)}
+    relabellings = [dict(zip(carrier, image))
+                    for image in permutations(carrier)]
+    reference = {}
+    for t in _reference_tables(carrier, violations):
+        reference.setdefault(t.defined, []).append(t.comp)
+    expected = {}
+    for mask in range(1, 1 << len(pairs)):  # the empty table is not checked
+        defined = [pair for pair in pairs if mask & bit[pair]]
+        images = [{(p[a], p[b]) for a, b in defined} for p in relabellings]
+        if min(sum(bit[pair] for pair in image) for image in images) < mask:
+            continue
+        stabilizer = [p for p, image in zip(relabellings, images)
+                      if image == set(defined)]
+
+        def code(comp):
+            return [index[comp[key]] for key in defined]
+
+        least = [
+            comp for comp in reference.get(frozenset(defined), [])
+            if all(code({(p[a], p[b]): p[c] for (a, b), c in comp.items()})
+                   >= code(comp) for p in stabilizer)
+        ]
+        if least:
+            expected[frozenset(defined)] = least
+    assert accepted == expected
+
+
 def _tables_and_mutants():
     """Fixture and census tables (n <= 2), each with its single edits: one
     value changed, one defined pair dropped, one undefined pair added."""
@@ -229,3 +327,8 @@ def test_empty_table_has_no_violations(n, violations):
     for mask in range(1 << len(pairs)):
         D = frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
         assert holds(violations(carrier, D, {}))
+
+
+def test_table_search_is_capped_at_five_elements():
+    with pytest.raises(CapExceededError):
+        next(_tables(carrier_labels(6), _s_violations))
