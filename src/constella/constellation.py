@@ -17,7 +17,13 @@ collect it, and the census stops it at the first violation (core.holds).
 
 from itertools import chain, product
 
-from .core import Violation, ValidationReport, _PlusStructure, _check_partial_order
+from .core import (
+    Violation,
+    ValidationReport,
+    _PlusStructure,
+    _check_partial_order,
+    _scan_by_index,
+)
 
 __all__ = [
     "OrderedConstellation",
@@ -177,7 +183,7 @@ def check_constellation(t):
     c4: for e in T+: xe defined implies xe = x.
     """
     return ValidationReport(chain(
-        _c12_violations(t.carrier, t.table.defined, t.table.comp),
+        _scan_by_index(_c12_violations, t.table),
         _c34_violations(t.table, t.plus),
     ))
 

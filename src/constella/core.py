@@ -218,7 +218,27 @@ def check_semigroupoid(t):
     A triggered triple must have all four pairs defined with
     (sx)r = s(xr).  Every failing (clause, triple) is reported.
     """
-    return ValidationReport(_s_violations(t.carrier, t.defined, t.comp))
+    return ValidationReport(_scan_by_index(_s_violations, t))
+
+
+def _scan_by_index(violations, t):
+    """A full scan of the table t by violations (_s_violations or
+    _c12_violations), run on t relabelled by carrier index, with each
+    witness named back through the carrier.
+
+    The relabelled table has carrier range(n) and comp keyed by int pairs,
+    which hash in C where elements such as Szendrei pairs hash in Python.
+    It is exact: the axioms compare elements only for equality and
+    definedness and name no label (the table search's relabelling argument,
+    see enumerate._tables), so the index bijection maps the failing
+    instances onto the failing instances; and range(n) runs in carrier
+    order, so they come out in the same order.
+    """
+    carrier = t.carrier
+    index = {x: i for i, x in enumerate(carrier)}
+    comp = {(index[a], index[b]): index[c] for (a, b), c in t.comp.items()}
+    for v in violations(range(len(carrier)), comp, comp):
+        yield Violation(v.axiom, tuple(carrier[i] for i in v.witness))
 
 
 def _s_violations(carrier, D, comp, rows=None):
@@ -309,9 +329,15 @@ def _check_partial_order(pairs, carrier):
     for a, b in pairs:
         if a != b and (b, a) in pairs:
             return f"not antisymmetric at {(a, b)!r}"
+    # Transitivity through successor lists: above[b] holds the d with
+    # (b, d) in pairs, in the order of the iteration over pairs, so the
+    # first failure found is that of the plain scan over all pairs of pairs.
+    above = {}
+    for c, d in pairs:
+        above.setdefault(c, []).append(d)
     for a, b in pairs:
-        for c, d in pairs:
-            if b == c and (a, d) not in pairs:
+        for d in above.get(b, ()):
+            if (a, d) not in pairs:
                 return f"not transitive at {(a, b, d)!r}"
     return None
 

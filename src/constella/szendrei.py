@@ -36,26 +36,39 @@ class MeetUndefinedError(RuntimeError):
 
 
 class SzendreiElement:
-    """Pair (subset, anchor) with anchor inside the subset."""
+    """Pair (subset, anchor) with anchor inside the subset.
 
-    __slots__ = ("subset", "anchor", "_hash")
+    The element is immutable, so its hash, its sort key and its repr are
+    computed once, when it is built, and kept.  On an iterated expansion
+    the subset holds elements of the level below, whose keys and reprs are
+    themselves kept: sorting a carrier or a list of pairs by repr then
+    costs one tuple or string comparison per step, not one nested sort per
+    level.
+    """
+
+    __slots__ = ("subset", "anchor", "_hash", "_key", "_repr")
 
     def __init__(self, subset, anchor):
         subset = frozenset(subset)
         if anchor not in subset:
             raise ValueError("anchor must belong to the subset")
+        members = sorted(subset)
         object.__setattr__(self, "subset", subset)
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "_hash", hash((subset, anchor)))
+        object.__setattr__(self, "_key", (len(subset), tuple(members), anchor))
+        object.__setattr__(
+            self, "_repr", f"SzendreiElement({members!r}, {anchor!r})"
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("SzendreiElement is immutable")
 
     def sort_key(self):
-        return (len(self.subset), tuple(sorted(self.subset)), self.anchor)
+        return self._key
 
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def __eq__(self, other):
         return (
@@ -68,10 +81,10 @@ class SzendreiElement:
         return self._hash
 
     def __str__(self):
-        return "_".join(map(str, sorted(self.subset))) + "'" + str(self.anchor)
+        return "_".join(map(str, self._key[1])) + "'" + str(self.anchor)
 
     def __repr__(self):
-        return f"SzendreiElement({sorted(self.subset)!r}, {self.anchor!r})"
+        return self._repr
 
 
 def _sz_carrier(carrier, plus):

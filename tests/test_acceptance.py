@@ -11,7 +11,7 @@ from constella.constellation import (
     check_constellation,
     check_locally_inductive,
 )
-from constella.core import PartialTable, check_left_restriction
+from constella.core import PartialTable, check_left_restriction, check_semigroupoid
 from constella.functor import build_C
 from constella.morphism import (
     MorphismMap,
@@ -93,6 +93,12 @@ def _mutate_constellation(t, comp_change=None, comp_drop=None,
     return OrderedConstellation(table, plus, order)
 
 
+S_MUTATIONS = [
+    ("s1", "pair_split_plus", {"comp_drop": ("e", "e")}),
+    ("s2", "pair_split_plus", {"comp_drop": ("f", "e")}),
+    ("s3", "pair_split_plus", {"comp_drop": ("e", "f")}),
+]
+
 LR_MUTATIONS = [
     ("lr1", "pair_split_plus", {"comp_change": (("e", "e"), "f")}),
     ("lr2", "pair_split_plus", {"comp_change": (("e", "f"), "f")}),
@@ -121,6 +127,11 @@ def test_criterion_9_mutation_sensitivity():
     fx = fixtures.all_fixtures()
     missed = []
 
+    for axiom, name, mutation in S_MUTATIONS:
+        table, _ = _mutate_lrs(fx[name], **mutation)
+        if axiom not in check_semigroupoid(table).axioms():
+            missed.append(axiom)
+
     for axiom, name, mutation in LR_MUTATIONS:
         table, plus = _mutate_lrs(fx[name], **mutation)
         if axiom not in check_left_restriction(table, plus).axioms():
@@ -148,5 +159,5 @@ def test_criterion_9_mutation_sensitivity():
 
     ok = not missed
     print(f"ACCEPT 9 {'PASS' if ok else 'FAIL'} mutation-sensitivity  "
-          f"({'21 axioms named' if ok else f'missed: {missed}'})")
+          f"({'24 axioms named' if ok else f'missed: {missed}'})")
     assert ok, f"mutations not named: {missed}"

@@ -1,0 +1,278 @@
+"""The fast paths of the checkers against the plain statements they replace.
+
+- check_semigroupoid and check_constellation scan s1-s3 and c1/c2 on the
+  table relabelled by carrier index; here the same generators also run on
+  the labelled table, and the two must yield the same violations in the
+  same order.
+- _check_partial_order tests transitivity through successor lists; the
+  plain scan over all pairs of pairs is kept here as the reference.
+- Szendrei elements keep their sort key and repr; here they are recomputed
+  from scratch, recursively.
+- Every single edit of a census structure is valid exactly when it lands
+  in the census.
+"""
+
+import hashlib
+import random
+from itertools import chain, product
+
+import pytest
+
+from constella import fixtures
+from constella.constellation import (
+    OrderedConstellation,
+    _c12_violations,
+    _c34_violations,
+    check_constellation,
+)
+from constella.core import (
+    LeftRestrictionSemigroupoid,
+    PartialTable,
+    _check_partial_order,
+    _s_violations,
+    _scan_by_index,
+    check_semigroupoid,
+    holds,
+)
+from constella.functor import build_C, build_G
+from constella.io import serialize_structure
+from constella.szendrei import (
+    SzendreiElement,
+    expand_constellation,
+    expand_semigroupoid,
+)
+from constella.theorems import _census_lic, _census_lrs
+
+
+def _census(n):
+    lrs = [s for k in range(1, n + 1) for s in _census_lrs(k)]
+    lic = [t for k in range(1, n + 1) for t in _census_lic(k)]
+    return lrs, lic
+
+
+def _ex6_7_expansions():
+    t = build_C(fixtures.ex6_7())
+    sz = expand_constellation(t)
+    g = build_G(t)
+    gsz = expand_semigroupoid(g)
+    return [sz, expand_constellation(sz), gsz, expand_semigroupoid(gsz)]
+
+
+def _direct(violations, t):
+    return tuple(violations(t.carrier, t.defined, t.comp))
+
+
+def _coded(violations, t):
+    return tuple(_scan_by_index(violations, t))
+
+
+def _discrete(table):
+    """table with the identity plus map and the discrete order."""
+    return OrderedConstellation(
+        table, {x: x for x in table.carrier}, {(x, x) for x in table.carrier})
+
+
+def _table_edits(table):
+    """Every table that differs from table in one pair: a value changed,
+    dropped or added."""
+    carrier = table.carrier
+    for pair in product(carrier, repeat=2):
+        old = table.comp.get(pair)
+        for value in (None,) + carrier:
+            if value == old:
+                continue
+            comp = dict(table.comp)
+            if value is None:
+                del comp[pair]
+            else:
+                comp[pair] = value
+            yield PartialTable(carrier, comp)
+
+
+def _sample_tables():
+    lrs, lic = _census(3)
+    fx = fixtures.all_fixtures().values()
+    yield from (s.table for s in fx)
+    yield from (build_C(s).table for s in fx)
+    yield from (s.table for s in lrs)
+    yield from (t.table for t in lic)
+    yield from (x.table for x in _ex6_7_expansions())
+
+
+def _assert_scans_agree(t):
+    for violations in (_s_violations, _c12_violations):
+        assert _coded(violations, t) == _direct(violations, t)
+
+
+def test_coded_scans_match_the_direct_scans():
+    tables = list(_sample_tables())
+    assert sorted({len(t.carrier) for t in tables})[-3:] == [6, 12, 20]
+    for t in tables:
+        _assert_scans_agree(t)
+
+
+def test_coded_scans_match_on_every_single_edit():
+    lrs, lic = _census(2)
+    failing = 0
+    for base in chain(lrs, lic):
+        for t in _table_edits(base.table):
+            _assert_scans_agree(t)
+            failing += not holds(_s_violations(t.carrier, t.defined, t.comp))
+    assert failing > 0
+
+
+def test_checkers_report_the_coded_scans():
+    for s in fixtures.all_fixtures().values():
+        for table in _table_edits(build_C(s).table):
+            assert check_semigroupoid(table).violations == _direct(
+                _s_violations, table)
+            t = _discrete(table)
+            c34 = tuple(_c34_violations(table, t.plus))
+            assert check_constellation(t).violations == _direct(
+                _c12_violations, table) + c34
+
+
+def _pair_scan(pairs, carrier):
+    """The partial-order check as a plain scan over all pairs of pairs."""
+    pairs = frozenset(pairs)
+    for a in carrier:
+        if (a, a) not in pairs:
+            return f"not reflexive at {a!r}"
+    for a, b in pairs:
+        if a != b and (b, a) in pairs:
+            return f"not antisymmetric at {(a, b)!r}"
+    for a, b in pairs:
+        for c, d in pairs:
+            if b == c and (a, d) not in pairs:
+                return f"not transitive at {(a, b, d)!r}"
+    return None
+
+
+def _relations(labels):
+    pairs = list(product(labels, repeat=2))
+    for mask in range(1 << len(pairs)):
+        yield frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+
+
+def test_partial_order_check_matches_the_pair_scan_exhaustively():
+    outcomes = set()
+    for n in (1, 2, 3):
+        carrier = tuple("abc"[:n])
+        for rel in _relations(carrier):
+            expected = _pair_scan(rel, carrier)
+            assert _check_partial_order(rel, carrier) == expected
+            outcomes.add(None if expected is None else expected.split(" at")[0])
+    # Pairs that name an element outside the carrier do not raise.
+    for rel in _relations(("a", "b", "z")):
+        assert _check_partial_order(rel, ("a", "b")) == _pair_scan(rel, ("a", "b"))
+    assert outcomes == {None, "not reflexive", "not antisymmetric",
+                        "not transitive"}
+
+
+def test_partial_order_check_matches_the_pair_scan_on_a_sample():
+    rng = random.Random(20261018)
+    carrier = tuple("abcde")
+    universe = carrier + ("z",)
+    transitive_failures = 0
+    for _ in range(3000):
+        rel = {(a, a) for a in carrier if rng.random() < 0.97}
+        density = rng.random()
+        for a, b in product(universe, repeat=2):
+            if a != b and rng.random() < density * 0.3:
+                if rng.random() < 0.9 and (b, a) in rel:
+                    continue
+                rel.add((a, b))
+        expected = _pair_scan(rel, carrier)
+        assert _check_partial_order(rel, carrier) == expected
+        transitive_failures += bool(expected and "transitive" in expected)
+    assert transitive_failures > 100
+
+
+def _ref_key(x):
+    if not isinstance(x, SzendreiElement):
+        return x
+    members = sorted(x.subset, key=_ref_key)
+    return (len(members), tuple(map(_ref_key, members)), _ref_key(x.anchor))
+
+
+def _ref_repr(x):
+    if not isinstance(x, SzendreiElement):
+        return repr(x)
+    members = sorted(x.subset, key=_ref_key)
+    inner = ", ".join(map(_ref_repr, members))
+    return f"SzendreiElement([{inner}], {_ref_repr(x.anchor)})"
+
+
+def test_kept_keys_and_reprs_match_fresh_elements():
+    t = build_C(fixtures.ex6_7())
+    levels = [expand_constellation(t)]
+    for _ in range(2):
+        levels.append(expand_constellation(levels[-1]))
+    for sz in levels:
+        carrier = sz.carrier
+        assert list(carrier) == sorted(carrier, key=_ref_key)
+        for p in carrier:
+            fresh = SzendreiElement(set(p.subset), p.anchor)
+            assert fresh == p and hash(fresh) == hash(p)
+            assert p.sort_key() == fresh.sort_key()
+            assert repr(p) == repr(fresh) == _ref_repr(p)
+            assert str(p) == str(fresh)
+            assert _ref_key(p) == (
+                len(p.subset),
+                tuple(map(_ref_key, p.sort_key()[1])),
+                _ref_key(p.anchor),
+            )
+
+
+def test_third_expansion_serialization_is_frozen():
+    t = build_C(fixtures.ex6_7())
+    sz3 = expand_constellation(expand_constellation(expand_constellation(t)))
+    text = serialize_structure(sz3)
+    assert (len(sz3.carrier), len(sz3.order), len(sz3.table.comp)) == (30, 176, 180)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c1d2e12e22aaa931c11d1e4d340c6a7344939101d7f6a88493654dbf16e01dd6")
+
+
+def _plus_edits(plus, carrier):
+    for x in carrier:
+        for p in carrier:
+            if p != plus[x]:
+                yield {**plus, x: p}
+
+
+def _lrs_edits(s):
+    for table in _table_edits(s.table):
+        yield LeftRestrictionSemigroupoid(table, s.plus)
+    for plus in _plus_edits(s.plus, s.carrier):
+        yield LeftRestrictionSemigroupoid(s.table, plus)
+
+
+def _lic_edits(t):
+    """Table, plus and order edits.  An order edit that leaves the partial
+    orders builds no constellation, so it is skipped."""
+    for table in _table_edits(t.table):
+        yield OrderedConstellation(table, t.plus, t.order)
+    for plus in _plus_edits(t.plus, t.carrier):
+        yield OrderedConstellation(t.table, plus, t.order)
+    for pair in product(t.carrier, repeat=2):
+        order = t.order ^ {pair}
+        if pair[0] != pair[1] and _check_partial_order(order, t.carrier) is None:
+            yield OrderedConstellation(t.table, t.plus, order)
+
+
+SINGLE_EDIT_COUNTS = {"lrs": (4381, 224), "lic": (5027, 148)}
+
+
+@pytest.mark.parametrize("kind", ["lrs", "lic"])
+def test_single_edits_are_valid_exactly_in_the_census(kind):
+    lrs, lic = _census(3)
+    census, edits = (lrs, _lrs_edits) if kind == "lrs" else (lic, _lic_edits)
+    members = set(census)
+    total = valid = 0
+    for base in census:
+        for edited in edits(base):
+            inside = edited in members
+            assert edited.validate().valid == inside, (base, edited)
+            total += 1
+            valid += inside
+    assert (total, valid) == SINGLE_EDIT_COUNTS[kind]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from constella import fixtures
 from constella.constellation import OrderedConstellation
@@ -177,3 +179,57 @@ def test_nested_expansion_serializes():
     reparsed = parse_structure(text)
     assert reparsed.validate().valid
     assert serialize_structure(reparsed) == text
+
+
+# Fuzzing the structure parser: every text parses or raises ParseError, and
+# on what parses, serialize∘parse is a fixed point.
+
+_TOKENS = st.sampled_from([
+    "kind", "elements", "plus", "comp", "order", "semigroupoid",
+    "constellation", "a", "b", "c", "a+", "b'", "_", "#", "a#b", "a^b", "",
+])
+
+
+@st.composite
+def _structure_texts(draw):
+    """Texts shaped like structure files: a kind line, an elements line, and
+    plus, comp and order lines over a few ids.  Half of them are then
+    damaged: lines dropped, repeated, shuffled or mixed with arbitrary
+    ones."""
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c", "a+", "b'", "1"]),
+                        min_size=1, max_size=4, unique=True))
+    kind = draw(st.sampled_from(["semigroupoid", "constellation"]))
+    member = st.sampled_from(ids)
+    lines = [f"kind {kind}", "elements " + " ".join(ids)]
+    lines += [f"plus {x} {draw(member)}" for x in ids]
+    comp = draw(st.dictionaries(st.tuples(member, member), member, max_size=6))
+    lines += [f"comp {a} {b} {c}" for (a, b), c in comp.items()]
+    if kind == "constellation":
+        lines += draw(st.lists(st.builds("order {} {}".format, member, member),
+                               max_size=3))
+    if draw(st.booleans()):
+        junk = st.one_of(st.lists(_TOKENS, max_size=4).map(" ".join),
+                         st.text(max_size=12))
+        lines = draw(st.lists(st.sampled_from(lines) | junk, max_size=12))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", " # c\n"]))
+
+
+def _parses_or_rejects(text):
+    try:
+        s = parse_structure(text)
+    except ParseError:
+        return
+    canonical = serialize_structure(s)
+    again = parse_structure(canonical)
+    assert again == s
+    assert serialize_structure(again) == canonical
+
+
+@given(_structure_texts())
+def test_structure_shaped_texts_parse_or_raise_parse_error(text):
+    _parses_or_rejects(text)
+
+
+@given(st.text(max_size=200))
+def test_arbitrary_texts_parse_or_raise_parse_error(text):
+    _parses_or_rejects(text)
