@@ -23,6 +23,7 @@ from .core import (
     _PlusStructure,
     _check_partial_order,
     _scan_by_index,
+    _table_scan,
 )
 
 __all__ = [
@@ -128,15 +129,21 @@ class OrderedConstellation(_PlusStructure):
     def corestrictions(self):
         """The index {(x, e): x|e as a CorestrictionResult}, x in T, e in T+.
 
-        Built by scan on first use and kept, since the structure is
-        immutable.
+        Built on first use from the down-sets, each taken once in carrier
+        order: the candidates for (x, e) are the y in the down-set of x with
+        ye defined, the tuple corestriction_candidates scans for.  Kept,
+        since the structure is immutable.
         """
         cores = self._cores
         if cores is None:
+            carrier, order, D = self.carrier, self.order, self.table.defined
+            below = [(x, [y for y in carrier if (y, x) in order])
+                     for x in carrier]
             cores = {
-                (x, e): _corestriction_scan(self, x, e)
+                (x, e): _corestriction_of(
+                    self, tuple(y for y in down if (y, e) in D))
                 for e in self.plus_image()
-                for x in self.carrier
+                for x, down in below
             }
             object.__setattr__(self, "_cores", cores)
         return cores
@@ -183,7 +190,7 @@ def check_constellation(t):
     c4: for e in T+: xe defined implies xe = x.
     """
     return ValidationReport(chain(
-        _scan_by_index(_c12_violations, t.table),
+        _scan_by_index(_table_scan(_c12_violations), t.table),
         _c34_violations(t.table, t.plus),
     ))
 
@@ -252,8 +259,8 @@ def _maximum(t, elements):
     return None
 
 
-def _corestriction_scan(t, x, e):
-    cands = corestriction_candidates(t, x, e)
+def _corestriction_of(t, cands):
+    """x|e from its candidates, in carrier order."""
     if not cands:
         return CorestrictionResult.empty()
     m = _maximum(t, cands)
@@ -334,22 +341,23 @@ def check_locally_inductive(t):
     Existence guards (the "x|e is nonempty" side conditions) are tested on
     the candidate sets, so each axiom is decided independently of wo4.
     """
-    return ValidationReport(chain(
-        _order_violations(t.table, t.plus, t.order),
-        _index_violations(t),
-    ))
+    return ValidationReport(_scan_by_index(
+        lambda c, key: chain(_order_violations(c.table, c.plus, c.order, key),
+                             _index_violations(c, key)),
+        t))
 
 
-def _order_violations(table, plus, order):
+def _order_violations(table, plus, order, key=repr):
     """wo1-wo3, which read no corestriction, so the census can test them
-    before it builds the constellation."""
+    before it builds the constellation.  wo1 and wo2 run over the order
+    pairs sorted by key."""
     D = table.defined
     comp = table.comp
     carrier = table.carrier
     plus_values = set(plus.values())
     image = [e for e in carrier if e in plus_values]
 
-    pairs = sorted(order, key=repr)
+    pairs = sorted(order, key=key)
 
     for (x, y) in pairs:
         for (x2, y2) in pairs:
@@ -370,8 +378,10 @@ def _order_violations(table, plus, order):
                 yield Violation("wo3", (e, x))
 
 
-def _index_violations(t):
-    """wo4-wo9, read from the constellation's corestriction index."""
+def _index_violations(t, key=repr):
+    """wo4-wo9, read from the constellation's corestriction index as two
+    maps: x|e or None, and whether x|e has candidates.  wo5 and wo7 run
+    over the defined pairs sorted by key."""
     D = t.table.defined
     comp = t.table.comp
     order = t.order
@@ -379,17 +389,19 @@ def _index_violations(t):
     plus = t.plus
     image = t.plus_image()
     cores = t.corestrictions()
+    value = {xe: c.value for xe, c in cores.items()}
+    nonempty = {xe: c.kind != "empty" for xe, c in cores.items()}
 
     for x in carrier:
         for e in image:
-            if cores[x, e].kind == "no_maximum":
+            if nonempty[x, e] and value[x, e] is None:
                 yield Violation("wo4", (x, e))
 
-    defined = sorted(D, key=repr)
+    defined = sorted(D, key=key)
 
     for e in image:
         for (x, y) in defined:
-            if cores[comp[(x, y)], e].has_candidates != cores[y, e].has_candidates:
+            if nonempty[comp[(x, y)], e] != nonempty[y, e]:
                 yield Violation("wo5", (x, y, e))
 
     for e in image:
@@ -397,17 +409,17 @@ def _index_violations(t):
             if (f, e) not in order:
                 continue
             for x in carrier:
-                if cores[x, e].has_candidates != cores[x, f].has_candidates:
+                if nonempty[x, e] != nonempty[x, f]:
                     yield Violation("wo6", (x, e, f))
 
     for e in image:
         for (x, y) in defined:
-            c_xy = cores[comp[(x, y)], e]
-            if not c_xy.has_candidates:
+            xy = comp[(x, y)]
+            if not nonempty[xy, e]:
                 continue
-            m_y = cores[y, e].value
-            m_x = None if m_y is None else cores[x, plus[m_y]].value
-            if c_xy.value is None or m_x is None or plus[c_xy.value] != plus[m_x]:
+            m_xy, m_y = value[xy, e], value[y, e]
+            m_x = None if m_y is None else value[x, plus[m_y]]
+            if m_xy is None or m_x is None or plus[m_xy] != plus[m_x]:
                 yield Violation("wo7", (x, y, e))
 
     for e in image:
@@ -415,7 +427,7 @@ def _index_violations(t):
             if (e, f) not in order:
                 continue
             found = [y for y in carrier if (y, f) in order and plus[y] == e]
-            m = cores[e, f].value
+            m = value[e, f]
             if len(found) != 1 or m is None or found[0] != m:
                 yield Violation("wo8", (e, f))
 
@@ -428,10 +440,10 @@ def _index_violations(t):
     for e in image:
         for f in image:
             if component[e] != component[f]:
-                if cores[e, f].has_candidates:
+                if nonempty[e, f]:
                     yield Violation("wo9", (e, f))
                 continue
-            m = cores[e, f].value
+            m = value[e, f]
             ok = (
                 m is not None
                 and m in component

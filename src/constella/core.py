@@ -218,27 +218,55 @@ def check_semigroupoid(t):
     A triggered triple must have all four pairs defined with
     (sx)r = s(xr).  Every failing (clause, triple) is reported.
     """
-    return ValidationReport(_scan_by_index(_s_violations, t))
+    return ValidationReport(_scan_by_index(_table_scan(_s_violations), t))
 
 
-def _scan_by_index(violations, t):
-    """A full scan of the table t by violations (_s_violations or
-    _c12_violations), run on t relabelled by carrier index, with each
-    witness named back through the carrier.
+def _table_scan(violations):
+    """A scan for _scan_by_index from a table generator such as
+    _s_violations, which reads carrier, defined pairs and comp."""
+    return lambda t, key: violations(t.carrier, t.defined, t.comp)
 
-    The relabelled table has carrier range(n) and comp keyed by int pairs,
-    which hash in C where elements such as Szendrei pairs hash in Python.
-    It is exact: the axioms compare elements only for equality and
-    definedness and name no label (the table search's relabelling argument,
-    see enumerate._tables), so the index bijection maps the failing
-    instances onto the failing instances; and range(n) runs in carrier
-    order, so they come out in the same order.
+
+_HASHED_IN_C = (str, int)
+
+
+def _scan_by_index(scan, x):
+    """The violations scan(x, key) yields, run on x relabelled by carrier
+    index, with each witness named back through the carrier.
+
+    x is a PartialTable or a structure (a table with plus, and an order for
+    a constellation).  Its relabelled copy has carrier range(n), and its
+    comp, plus and order are keyed by ints, which hash in C where elements
+    such as Szendrei pairs hash in Python.  The relabelling is exact: the
+    axioms compare elements only for equality, definedness and order and
+    name no label (the table search's relabelling argument, see
+    enumerate._tables), so the index bijection maps the failing instances
+    onto the failing instances.  They come out in the same order because
+    range(n) runs in carrier order and because key, which the scan sorts
+    pairs by where the direct scan sorts them by repr, gives each coded
+    pair the repr of the pair it names.
+
+    When every element is a str or an int, which hash in C already, the
+    scan runs on x itself with key=repr.
     """
-    carrier = t.carrier
-    index = {x: i for i, x in enumerate(carrier)}
-    comp = {(index[a], index[b]): index[c] for (a, b), c in t.comp.items()}
-    for v in violations(range(len(carrier)), comp, comp):
-        yield Violation(v.axiom, tuple(carrier[i] for i in v.witness))
+    carrier = x.carrier
+    if all(type(e) in _HASHED_IN_C for e in carrier):
+        return scan(x, repr)
+    index = {e: i for i, e in enumerate(carrier)}
+    table = x if isinstance(x, PartialTable) else x.table
+    coded = PartialTable(range(len(carrier)), {
+        (index[a], index[b]): index[c] for (a, b), c in table.comp.items()})
+    if x is not table:
+        parts = (coded, {index[a]: index[b] for a, b in x.plus.items()})
+        if hasattr(x, "order"):
+            parts += ({(index[a], index[b]) for a, b in x.order},)
+        coded = type(x)(*parts)
+
+    def key(pair):
+        return repr((carrier[pair[0]], carrier[pair[1]]))
+
+    return (Violation(v.axiom, tuple(carrier[i] for i in v.witness))
+            for v in scan(coded, key))
 
 
 def _s_violations(carrier, D, comp, rows=None):
@@ -281,7 +309,9 @@ def check_left_restriction(t, plus):
     lr3: e t defined implies e t+ defined and (e t)+ = e t+  (e in S+).
     lr4: s t defined implies s t+ and (s t)+ s defined with s t+ = (s t)+ s.
     """
-    return ValidationReport(_lr_violations(t, plus))
+    return ValidationReport(_scan_by_index(
+        lambda s, key: _lr_violations(s.table, s.plus, key),
+        LeftRestrictionSemigroupoid(t, plus)))
 
 
 def holds(violations):
@@ -289,7 +319,8 @@ def holds(violations):
     return next(iter(violations), None) is None
 
 
-def _lr_violations(t, plus):
+def _lr_violations(t, plus, key=repr):
+    """lr1-lr4; lr4 runs over the defined pairs sorted by key."""
     D = t.defined
     comp = t.comp
     image = sorted(set(plus.values()), key=t.carrier.index)
@@ -313,7 +344,7 @@ def _lr_violations(t, plus):
             if rhs is None or lhs != rhs:
                 yield Violation("lr3", (e, s))
 
-    for (s, x) in sorted(D, key=repr):
+    for (s, x) in sorted(D, key=key):
         st = comp[(s, x)]
         lhs = comp.get((s, plus[x]))
         rhs = comp.get((plus[st], s))

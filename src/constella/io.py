@@ -135,9 +135,11 @@ def parse_structure(text):
         return LeftRestrictionSemigroupoid(table, plus_map)
 
     closed = _reflexive_transitive_closure({(a, b) for a, b, _ in order}, carrier)
-    for a, b in closed:
-        if a != b and (b, a) in closed:
-            raise ParseError(f"order is not a partial order: cycle through {a!r} and {b!r}")
+    cycles = [(a, b) for a, b in closed if a != b and (b, a) in closed]
+    if cycles:
+        # the first pair in carrier order, which is sorted
+        a, b = min(cycles)
+        raise ParseError(f"order is not a partial order: cycle through {a!r} and {b!r}")
     return OrderedConstellation(table, plus_map, closed)
 
 

@@ -295,3 +295,23 @@ def test_enumerate_output_does_not_depend_on_the_hash_seed():
             assert proc.returncode == 0 and proc.stderr == b""
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_order_cycle_message_does_not_depend_on_the_hash_seed(tmp_path):
+    # Every pair of 0 -> 1 -> 2 -> 0 lies on the cycle; the message names
+    # the first in carrier order.
+    path = tmp_path / "cycle.cst"
+    path.write_text(
+        "kind constellation\nelements 0 1 2\n"
+        + "".join(f"plus {x} {x}\ncomp {x} {x} {x}\n" for x in "012")
+        + "order 0 1\norder 1 2\norder 2 0\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+        proc = subprocess.run(
+            [sys.executable, "-m", "constella.cli", "verify", str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: order is not a partial order: cycle through '0' and '1'\n")

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from constella import fixtures
@@ -14,7 +17,7 @@ from constella.constellation import (
     plus_components,
     restriction,
 )
-from constella.core import PartialTable
+from constella.core import PartialTable, _check_partial_order
 from constella.enumerate import enumerate_li_constellations
 from constella.functor import build_C
 from constella.szendrei import expand_constellation
@@ -234,11 +237,24 @@ def _scan_corestriction(t, x, e):
     return CorestrictionResult.of(tops[0])
 
 
+def _order_edits(t):
+    """t with one pair added to or dropped from its order, where the result
+    is still a partial order."""
+    for pair in product(t.carrier, repeat=2):
+        order = t.order ^ {pair}
+        if pair[0] != pair[1] and _check_partial_order(order, t.carrier) is None:
+            yield OrderedConstellation(t.table, t.plus, order)
+
+
 def _index_cases():
     cases = [C(name) for name in sorted(fixtures.all_fixtures())]
-    for n in (1, 2, 3):
-        cases.extend(enumerate_li_constellations(n))
-    cases.append(expand_constellation(C("ex6_7")))
+    census = [t for n in (1, 2, 3) for t in enumerate_li_constellations(n)]
+    cases.extend(census)
+    # At n <= 2 every down-set is a chain; the order edits at n = 3 also
+    # give indexes with no_maximum entries.
+    cases.extend(edit for t in census for edit in _order_edits(t))
+    sz = expand_constellation(C("ex6_7"))
+    cases += [sz, expand_constellation(sz)]
     # broken: x|e has two incomparable candidates and no maximum
     table = PartialTable(
         ["a", "b", "e", "x"],
@@ -250,6 +266,7 @@ def _index_cases():
 
 
 def test_corestriction_index_matches_the_scan():
+    kinds = Counter()
     for t in _index_cases():
         expected = {
             (x, e): _scan_corestriction(t, x, e)
@@ -257,9 +274,11 @@ def test_corestriction_index_matches_the_scan():
             for e in t.plus_image()
         }
         assert t.corestrictions() == expected
+        kinds.update(r.kind for r in expected.values())
         groups = plus_components(t)
         tops = [
             next((m for m in g if all((y, m) in t.order for y in g)), None)
             for g in groups
         ]
         assert t.components() == tuple(zip(groups, tops))
+    assert kinds["no_maximum"] > 1 and kinds["empty"] and kinds["value"]

@@ -1,9 +1,11 @@
 """The fast paths of the checkers against the plain statements they replace.
 
-- check_semigroupoid and check_constellation scan s1-s3 and c1/c2 on the
-  table relabelled by carrier index; here the same generators also run on
-  the labelled table, and the two must yield the same violations in the
-  same order.
+- The full checks run on the structure relabelled by carrier index
+  (core._scan_by_index) unless every element is a str or an int; here the
+  same generators also run on the labelled structure, and the two must
+  yield the same violations in the same order.  Census structures are
+  moved onto 1-tuples first, which are neither str nor int, so that the
+  coded path runs on them.
 - _check_partial_order tests transitivity through successor lists; the
   plain scan over all pairs of pairs is kept here as the reference.
 - Szendrei elements keep their sort key and repr; here they are recomputed
@@ -23,17 +25,25 @@ from constella.constellation import (
     OrderedConstellation,
     _c12_violations,
     _c34_violations,
+    _index_violations,
+    _order_violations,
     check_constellation,
+    check_locally_inductive,
 )
 from constella.core import (
     LeftRestrictionSemigroupoid,
     PartialTable,
+    Violation,
     _check_partial_order,
+    _lr_violations,
     _s_violations,
     _scan_by_index,
+    _table_scan,
+    check_left_restriction,
     check_semigroupoid,
     holds,
 )
+from constella.enumerate import relabel
 from constella.functor import build_C, build_G
 from constella.io import serialize_structure
 from constella.szendrei import (
@@ -58,12 +68,47 @@ def _ex6_7_expansions():
     return [sz, expand_constellation(sz), gsz, expand_semigroupoid(gsz)]
 
 
-def _direct(violations, t):
-    return tuple(violations(t.carrier, t.defined, t.comp))
+def _on_tuples(x):
+    """x with each element e renamed (e,): a carrier that hashes in C but
+    is neither str nor int, so that _scan_by_index relabels it."""
+    if not isinstance(x.carrier[0], str):
+        return x
+    mapping = {e: (e,) for e in x.carrier}
+    carrier = tuple(mapping.values())
+    if isinstance(x, PartialTable):
+        return PartialTable(carrier, {
+            (mapping[a], mapping[b]): mapping[c]
+            for (a, b), c in x.comp.items()})
+    return relabel(x, mapping, carrier)
 
 
-def _coded(violations, t):
-    return tuple(_scan_by_index(violations, t))
+# Scans as _scan_by_index runs them: scan(x, key) for a table or structure x.
+_s_scan = _table_scan(_s_violations)
+_c12_scan = _table_scan(_c12_violations)
+TABLE_SCANS = (_s_scan, _c12_scan)
+
+
+def _lr_scan(s, key):
+    return _lr_violations(s.table, s.plus, key)
+
+
+def _order_scan(t, key):
+    return _order_violations(t.table, t.plus, t.order, key)
+
+
+def _direct(scan, x):
+    return tuple(scan(x, repr))
+
+
+def _coded(scan, x):
+    assert not isinstance(x.carrier[0], (str, int))
+    return tuple(_scan_by_index(scan, x))
+
+
+def _assert_coded_matches_direct(scans, x):
+    x = _on_tuples(x)
+    for scan in scans:
+        assert _coded(scan, x) == _direct(scan, x)
 
 
 def _discrete(table):
@@ -99,16 +144,29 @@ def _sample_tables():
     yield from (x.table for x in _ex6_7_expansions())
 
 
-def _assert_scans_agree(t):
-    for violations in (_s_violations, _c12_violations):
-        assert _coded(violations, t) == _direct(violations, t)
+def test_str_and_int_carriers_are_scanned_directly():
+    def scan(x, key):
+        return [(x, key)]
+    for x in (fixtures.ex6_7(), build_C(fixtures.ex6_7()),
+              PartialTable((0, 1), {(0, 1): 1})):
+        assert _scan_by_index(scan, x) == [(x, repr)]
+
+
+def test_coded_scans_name_witnesses_and_sort_keys_back():
+    def pairs(x, key):
+        assert x.carrier == tuple(range(len(x.carrier)))
+        for pair in sorted(x.table.defined, key=key):
+            yield Violation("-", pair)
+    for x in (_on_tuples(build_C(fixtures.ex6_7())), *_ex6_7_expansions()):
+        witnesses = [v.witness for v in _scan_by_index(pairs, x)]
+        assert witnesses == sorted(x.table.defined, key=repr)
 
 
 def test_coded_scans_match_the_direct_scans():
     tables = list(_sample_tables())
     assert sorted({len(t.carrier) for t in tables})[-3:] == [6, 12, 20]
     for t in tables:
-        _assert_scans_agree(t)
+        _assert_coded_matches_direct(TABLE_SCANS, t)
 
 
 def test_coded_scans_match_on_every_single_edit():
@@ -116,20 +174,58 @@ def test_coded_scans_match_on_every_single_edit():
     failing = 0
     for base in chain(lrs, lic):
         for t in _table_edits(base.table):
-            _assert_scans_agree(t)
+            _assert_coded_matches_direct(TABLE_SCANS, t)
             failing += not holds(_s_violations(t.carrier, t.defined, t.comp))
     assert failing > 0
 
 
+def _sample_structures():
+    fx = fixtures.all_fixtures().values()
+    sz, szsz, gsz, gszsz = _ex6_7_expansions()
+    return [*fx, gsz, gszsz], [*map(build_C, fx), sz, szsz]
+
+
+def test_coded_structure_scans_match_the_direct_scans():
+    lrs, lic = _sample_structures()
+    assert [len(x.carrier) for x in lrs[-2:] + lic[-2:]] == [12, 20, 12, 20]
+    for s in lrs:
+        _assert_coded_matches_direct((_lr_scan,), s)
+    for t in lic:
+        _assert_coded_matches_direct((_order_scan, _index_violations), t)
+
+
+def test_coded_structure_scans_match_on_every_single_edit():
+    lrs, lic = _census(2)
+    axioms = set()
+    for s in chain.from_iterable(map(_lrs_edits, lrs)):
+        _assert_coded_matches_direct((_lr_scan,), s)
+        axioms.update(v.axiom for v in _lr_scan(s, repr))
+    # At n <= 2 every down-set is a chain, so x|e always has a maximum; the
+    # order edits at n = 3 add the wo4 failures.
+    edits = chain(chain.from_iterable(map(_lic_edits, lic)),
+                  chain.from_iterable(map(_order_edits, _census_lic(3))))
+    for t in edits:
+        _assert_coded_matches_direct((_order_scan, _index_violations), t)
+        axioms.update(v.axiom for v in _order_scan(t, repr))
+        axioms.update(v.axiom for v in _index_violations(t, repr))
+    assert axioms == {"lr1", "lr2", "lr3", "lr4", *(f"wo{i}" for i in range(1, 10))}
+
+
 def test_checkers_report_the_coded_scans():
     for s in fixtures.all_fixtures().values():
-        for table in _table_edits(build_C(s).table):
+        c = _on_tuples(build_C(s))
+        for table in _table_edits(c.table):
             assert check_semigroupoid(table).violations == _direct(
-                _s_violations, table)
+                _s_scan, table)
+            assert check_left_restriction(table, c.plus).violations == \
+                _direct(_lr_scan, LeftRestrictionSemigroupoid(table, c.plus))
             t = _discrete(table)
             c34 = tuple(_c34_violations(table, t.plus))
             assert check_constellation(t).violations == _direct(
-                _c12_violations, table) + c34
+                _c12_scan, table) + c34
+            t = OrderedConstellation(table, c.plus, c.order)
+            assert check_locally_inductive(t).violations == _direct(
+                _order_scan, t) + _direct(_index_violations, t)
 
 
 def _pair_scan(pairs, carrier):
@@ -254,6 +350,10 @@ def _lic_edits(t):
         yield OrderedConstellation(table, t.plus, t.order)
     for plus in _plus_edits(t.plus, t.carrier):
         yield OrderedConstellation(t.table, plus, t.order)
+    yield from _order_edits(t)
+
+
+def _order_edits(t):
     for pair in product(t.carrier, repeat=2):
         order = t.order ^ {pair}
         if pair[0] != pair[1] and _check_partial_order(order, t.carrier) is None:

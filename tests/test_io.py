@@ -233,3 +233,58 @@ def test_structure_shaped_texts_parse_or_raise_parse_error(text):
 @given(st.text(max_size=200))
 def test_arbitrary_texts_parse_or_raise_parse_error(text):
     _parses_or_rejects(text)
+
+
+# Fuzzing the morphism parser the same way: every text parses or raises
+# ParseError, and on what parses, parse∘serialize gives the same morphism.
+
+_MORPHISM_FILES = {"a.sgpd": "singleton", "b.sgpd": "pair_split_plus"}
+
+
+def _load_fixture(ref):
+    return fixtures.all_fixtures()[_MORPHISM_FILES.get(ref, "ex6_3")]
+
+
+@st.composite
+def _morphism_texts(draw):
+    """Texts shaped like morphism files: source and target lines, a map
+    line from each source element into the target, and maybe one more map
+    line over a few ids.  Half of them are then damaged as the structure texts
+    are."""
+    ref = st.sampled_from([*_MORPHISM_FILES, "c.sgpd"])
+    label = st.sampled_from(["e", "f", "0", "zz"])
+    source, target = draw(ref), draw(ref)
+    value = st.sampled_from(_load_fixture(target).carrier)
+    lines = [f"source {source}", f"target {target}"]
+    lines += [f"map {x} {draw(value)}" for x in _load_fixture(source).carrier]
+    lines += draw(st.lists(st.builds("map {} {}".format, label, label),
+                           max_size=1))
+    if draw(st.booleans()):
+        junk = st.one_of(
+            st.lists(st.sampled_from(["source", "target", "map", "e", "f",
+                                      "a.sgpd", "#", ""]), max_size=4).map(" ".join),
+            st.text(max_size=12))
+        lines = draw(st.lists(st.sampled_from(lines) | junk, max_size=8))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", " # c\n"]))
+
+
+def _morphism_parses_or_rejects(text):
+    try:
+        parsed = parse_morphism_text(text, _load_fixture)
+    except ParseError:
+        return
+    source_path, target_path, source, target, mapping = parsed
+    assert set(mapping) == set(source.carrier)
+    assert set(mapping.values()) <= set(target.carrier)
+    text = serialize_morphism(source_path, target_path, mapping, source.carrier)
+    assert parse_morphism_text(text, _load_fixture) == parsed
+
+
+@given(_morphism_texts())
+def test_morphism_shaped_texts_parse_or_raise_parse_error(text):
+    _morphism_parses_or_rejects(text)
+
+
+@given(st.text(max_size=200))
+def test_arbitrary_morphism_texts_parse_or_raise_parse_error(text):
+    _morphism_parses_or_rejects(text)
