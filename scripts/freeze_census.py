@@ -8,7 +8,9 @@ locally inductive constellations from the separate constellation-side
 enumerator.  All three must agree before a constant is frozen in
 constella.theorems.FROZEN_CENSUS_COUNTS.  The isomorphism-class counts of
 the two sides (lrs_classes, lic_classes) are printed after them and must
-agree too.
+agree too, and so must the orbit-stabilizer recounts (lrs_orbit_sum,
+lic_orbit_sum): the sum of n!/|Aut(s)| over the class representatives s,
+which must equal the labelled counts.
 
 The naive route visits (n+1)^(n^2) tables (every defined-pair set with
 every value assignment), so above NAIVE_MAX_SIZE it is skipped with that
@@ -19,9 +21,15 @@ the censuses) are the routes that must agree.
 
 import argparse
 import time
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
-from constella.core import PartialTable, check_left_restriction, check_semigroupoid
+from constella.core import (
+    PartialTable,
+    check_left_restriction,
+    check_semigroupoid,
+    relabel,
+)
 from constella.enumerate import (
     carrier_labels,
     dedupe_up_to_iso,
@@ -49,6 +57,18 @@ def naive_lr_count(n):
     return count
 
 
+def orbit_sum(reps, n):
+    """The sum of n!/|Aut(s)| over the class representatives, where Aut(s)
+    is the set of relabellings of the carrier that fix s."""
+    total = 0
+    for s in reps:
+        automorphisms = sum(
+            relabel(s, dict(zip(s.carrier, image)), s.carrier) == s
+            for image in permutations(s.carrier))
+        total += factorial(n) // automorphisms
+    return total
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-size", type=int, default=3)
@@ -65,8 +85,10 @@ def main():
             line += f" naive=skipped ({n + 1}^{n * n} tables)"
         elif not args.skip_naive:
             line += f" naive={naive_lr_count(n)}"
-        line += (f" lrs_classes={len(dedupe_up_to_iso(lrs))}"
-                 f" lic_classes={len(dedupe_up_to_iso(lic))}")
+        lrs_reps, lic_reps = dedupe_up_to_iso(lrs), dedupe_up_to_iso(lic)
+        line += (f" lrs_classes={len(lrs_reps)} lic_classes={len(lic_reps)}"
+                 f" lrs_orbit_sum={orbit_sum(lrs_reps, n)}"
+                 f" lic_orbit_sum={orbit_sum(lic_reps, n)}")
         print(line + f"  [{time.time() - t0:.1f}s]")
 
 

@@ -318,11 +318,11 @@ def plus_components(t):
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[rb] = ra
+    # groups are inserted in the carrier order of their first elements
     groups = {}
     for e in image:
         groups.setdefault(find(e), []).append(e)
-    ordered = sorted(groups.values(), key=lambda g: t.carrier.index(g[0]))
-    return tuple(tuple(g) for g in ordered)
+    return tuple(map(tuple, groups.values()))
 
 
 def meet(t, e, f):
@@ -342,32 +342,37 @@ def check_locally_inductive(t):
     the candidate sets, so each axiom is decided independently of wo4.
     """
     return ValidationReport(_scan_by_index(
-        lambda c, key: chain(_order_violations(c.table, c.plus, c.order, key),
-                             _index_violations(c, key)),
+        lambda c: chain(_order_violations(c.table, c.plus, c.order),
+                        _index_violations(c)),
         t))
 
 
-def _order_violations(table, plus, order, key=repr):
+def _order_violations(table, plus, order):
     """wo1-wo3, which read no corestriction, so the census can test them
     before it builds the constellation.  wo1 and wo2 run over the order
-    pairs sorted by key."""
+    pairs in carrier order."""
     D = table.defined
     comp = table.comp
     carrier = table.carrier
     plus_values = set(plus.values())
     image = [e for e in carrier if e in plus_values]
+    up = [(x, [y for y in carrier if (x, y) in order]) for x in carrier]
 
-    pairs = sorted(order, key=key)
+    # wo1 visits only the x2 with (x, x2) and the y2 with (y, y2) defined;
+    # each row is built when its x is reached, for the census's early exits
+    for x, ys in up:
+        row = [(x2, comp[x, x2], y2s) for x2, y2s in up if (x, x2) in D]
+        for y in ys:
+            for x2, xx2, y2s in row:
+                for y2 in y2s:
+                    yy2 = comp.get((y, y2))
+                    if yy2 is not None and (xx2, yy2) not in order:
+                        yield Violation("wo1", (x, y, x2, y2))
 
-    for (x, y) in pairs:
-        for (x2, y2) in pairs:
-            if (x, x2) in D and (y, y2) in D:
-                if (comp[(x, x2)], comp[(y, y2)]) not in order:
-                    yield Violation("wo1", (x, y, x2, y2))
-
-    for (x, y) in pairs:
-        if (plus[x], plus[y]) not in order:
-            yield Violation("wo2", (x, y))
+    for x, ys in up:
+        for y in ys:
+            if (plus[x], plus[y]) not in order:
+                yield Violation("wo2", (x, y))
 
     for e in image:
         for x in carrier:
@@ -378,10 +383,10 @@ def _order_violations(table, plus, order, key=repr):
                 yield Violation("wo3", (e, x))
 
 
-def _index_violations(t, key=repr):
+def _index_violations(t):
     """wo4-wo9, read from the constellation's corestriction index as two
     maps: x|e or None, and whether x|e has candidates.  wo5 and wo7 run
-    over the defined pairs sorted by key."""
+    over the defined pairs in carrier order."""
     D = t.table.defined
     comp = t.table.comp
     order = t.order
@@ -397,7 +402,7 @@ def _index_violations(t, key=repr):
             if nonempty[x, e] and value[x, e] is None:
                 yield Violation("wo4", (x, e))
 
-    defined = sorted(D, key=key)
+    defined = [xy for xy in product(carrier, repeat=2) if xy in D]
 
     for e in image:
         for (x, y) in defined:

@@ -224,49 +224,50 @@ def check_semigroupoid(t):
 def _table_scan(violations):
     """A scan for _scan_by_index from a table generator such as
     _s_violations, which reads carrier, defined pairs and comp."""
-    return lambda t, key: violations(t.carrier, t.defined, t.comp)
+    return lambda t: violations(t.carrier, t.defined, t.comp)
+
+
+def relabel(x, mapping, carrier):
+    """Copy of x, a PartialTable or a structure (a table with plus, and an
+    order for a constellation), with its elements renamed by mapping onto
+    the given carrier."""
+    table = x if isinstance(x, PartialTable) else x.table
+    renamed = PartialTable(carrier, {
+        (mapping[a], mapping[b]): mapping[c] for (a, b), c in table.comp.items()})
+    if x is table:
+        return renamed
+    parts = (renamed, {mapping[a]: mapping[b] for a, b in x.plus.items()})
+    if hasattr(x, "order"):
+        parts += (frozenset((mapping[a], mapping[b]) for a, b in x.order),)
+    return type(x)(*parts)
 
 
 _HASHED_IN_C = (str, int)
 
 
 def _scan_by_index(scan, x):
-    """The violations scan(x, key) yields, run on x relabelled by carrier
-    index, with each witness named back through the carrier.
+    """The violations scan(x) yields, run on x relabelled by carrier index,
+    with each witness named back through the carrier.
 
-    x is a PartialTable or a structure (a table with plus, and an order for
-    a constellation).  Its relabelled copy has carrier range(n), and its
-    comp, plus and order are keyed by ints, which hash in C where elements
-    such as Szendrei pairs hash in Python.  The relabelling is exact: the
-    axioms compare elements only for equality, definedness and order and
-    name no label (the table search's relabelling argument, see
-    enumerate._tables), so the index bijection maps the failing instances
-    onto the failing instances.  They come out in the same order because
-    range(n) runs in carrier order and because key, which the scan sorts
-    pairs by where the direct scan sorts them by repr, gives each coded
-    pair the repr of the pair it names.
+    x is a PartialTable or a structure.  Its relabelled copy has carrier
+    range(n) and int keys, which hash in C where elements such as Szendrei
+    pairs hash in Python.  The relabelling is exact: the axioms compare
+    elements only for equality, definedness and order and name no label
+    (see enumerate._tables), so the index bijection maps the failing
+    instances onto the failing instances.  Every scan runs over elements
+    and pairs in carrier order, and the index map is monotone in carrier
+    order, so the coded scan yields them in the direct scan's sequence.
 
     When every element is a str or an int, which hash in C already, the
-    scan runs on x itself with key=repr.
+    scan runs on x itself.
     """
     carrier = x.carrier
     if all(type(e) in _HASHED_IN_C for e in carrier):
-        return scan(x, repr)
-    index = {e: i for i, e in enumerate(carrier)}
-    table = x if isinstance(x, PartialTable) else x.table
-    coded = PartialTable(range(len(carrier)), {
-        (index[a], index[b]): index[c] for (a, b), c in table.comp.items()})
-    if x is not table:
-        parts = (coded, {index[a]: index[b] for a, b in x.plus.items()})
-        if hasattr(x, "order"):
-            parts += ({(index[a], index[b]) for a, b in x.order},)
-        coded = type(x)(*parts)
-
-    def key(pair):
-        return repr((carrier[pair[0]], carrier[pair[1]]))
-
+        return scan(x)
+    n = len(carrier)
+    coded = relabel(x, dict(zip(carrier, range(n))), range(n))
     return (Violation(v.axiom, tuple(carrier[i] for i in v.witness))
-            for v in scan(coded, key))
+            for v in scan(coded))
 
 
 def _s_violations(carrier, D, comp, rows=None):
@@ -310,7 +311,7 @@ def check_left_restriction(t, plus):
     lr4: s t defined implies s t+ and (s t)+ s defined with s t+ = (s t)+ s.
     """
     return ValidationReport(_scan_by_index(
-        lambda s, key: _lr_violations(s.table, s.plus, key),
+        lambda s: _lr_violations(s.table, s.plus),
         LeftRestrictionSemigroupoid(t, plus)))
 
 
@@ -319,11 +320,12 @@ def holds(violations):
     return next(iter(violations), None) is None
 
 
-def _lr_violations(t, plus, key=repr):
-    """lr1-lr4; lr4 runs over the defined pairs sorted by key."""
+def _lr_violations(t, plus):
+    """lr1-lr4, each over its elements and pairs in carrier order."""
     D = t.defined
     comp = t.comp
-    image = sorted(set(plus.values()), key=t.carrier.index)
+    plus_values = set(plus.values())
+    image = [e for e in t.carrier if e in plus_values]
 
     for s in t.carrier:
         e = plus[s]
@@ -344,8 +346,10 @@ def _lr_violations(t, plus, key=repr):
             if rhs is None or lhs != rhs:
                 yield Violation("lr3", (e, s))
 
-    for (s, x) in sorted(D, key=key):
-        st = comp[(s, x)]
+    for s, x in product(t.carrier, repeat=2):
+        st = comp.get((s, x))
+        if st is None:
+            continue
         lhs = comp.get((s, plus[x]))
         rhs = comp.get((plus[st], s))
         if lhs is None or rhs is None or lhs != rhs:

@@ -41,6 +41,7 @@ from .core import (
     _lr_violations,
     _s_violations,
     holds,
+    relabel,
 )
 
 __all__ = [
@@ -363,20 +364,6 @@ def enumerate_li_constellations(n, cap=None):
 def _permutations(src, dst):
     for image in permutations(dst):
         yield dict(zip(src, image))
-
-
-def relabel(structure, mapping, carrier):
-    """Copy of the structure with elements renamed by mapping."""
-    table = PartialTable(
-        carrier,
-        {(mapping[a], mapping[b]): mapping[c]
-         for (a, b), c in structure.table.comp.items()},
-    )
-    plus = {mapping[a]: mapping[b] for a, b in structure.plus.items()}
-    if isinstance(structure, OrderedConstellation):
-        order = frozenset((mapping[a], mapping[b]) for a, b in structure.order)
-        return OrderedConstellation(table, plus, order)
-    return LeftRestrictionSemigroupoid(table, plus)
 
 
 def are_isomorphic(a, b):

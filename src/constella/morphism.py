@@ -14,6 +14,8 @@ cuts the branch at the first failure.  Accepted maps come out in the
 lexicographic order of the |T|^|S| total maps.
 """
 
+from itertools import product
+
 from .constellation import (
     NonUniqueError,
     NotApplicableError,
@@ -97,14 +99,16 @@ def _require(source, target, cls):
         raise TypeError(f"morphism endpoints must be {cls.__name__}")
 
 
-# --- instance builders: one instance per axiom and witness, in report order
+# --- instance builders: one instance per axiom and witness, in carrier order
 
 
 def _products(axiom, S, test):
     """One instance per defined product ab of the source, reading a, b, ab."""
     comp = S.table.comp
-    for (a, b) in sorted(S.table.defined, key=repr):
-        yield axiom, (a, b), (a, b, comp[(a, b)]), test
+    for a, b in product(S.carrier, repeat=2):
+        ab = comp.get((a, b))
+        if ab is not None:
+            yield axiom, (a, b), (a, b, ab), test
 
 
 def _elements(axiom, S, test):
@@ -117,8 +121,9 @@ def _order_pairs(axiom, T, L):
     """ir3/ip3: a <= b implies f(a) <= f(b)."""
     def test(f, a, b):
         return (f[a], f[b]) in L.order
-    for pair in sorted(T.order, key=repr):
-        yield axiom, pair, pair, test
+    for pair in product(T.carrier, repeat=2):
+        if pair in T.order:
+            yield axiom, pair, pair, test
 
 
 def _corestrictions(axiom, T, L):

@@ -38,15 +38,14 @@ class MeetUndefinedError(RuntimeError):
 class SzendreiElement:
     """Pair (subset, anchor) with anchor inside the subset.
 
-    The element is immutable, so its hash, its sort key and its repr are
-    computed once, when it is built, and kept.  On an iterated expansion
-    the subset holds elements of the level below, whose keys and reprs are
-    themselves kept: sorting a carrier or a list of pairs by repr then
-    costs one tuple or string comparison per step, not one nested sort per
-    level.
+    The element is immutable, so its hash and its sort key are computed
+    once, when it is built, and kept.  On an iterated expansion the subset
+    holds elements of the level below, whose keys are themselves kept:
+    sorting a carrier then costs one tuple comparison per step, not one
+    nested sort per level.  The repr is built from the key on demand.
     """
 
-    __slots__ = ("subset", "anchor", "_hash", "_key", "_repr")
+    __slots__ = ("subset", "anchor", "_hash", "_key")
 
     def __init__(self, subset, anchor):
         subset = frozenset(subset)
@@ -57,9 +56,6 @@ class SzendreiElement:
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "_hash", hash((subset, anchor)))
         object.__setattr__(self, "_key", (len(subset), tuple(members), anchor))
-        object.__setattr__(
-            self, "_repr", f"SzendreiElement({members!r}, {anchor!r})"
-        )
 
     def __setattr__(self, name, value):
         raise AttributeError("SzendreiElement is immutable")
@@ -84,7 +80,7 @@ class SzendreiElement:
         return "_".join(map(str, self._key[1])) + "'" + str(self.anchor)
 
     def __repr__(self):
-        return self._repr
+        return f"SzendreiElement({list(self._key[1])!r}, {self.anchor!r})"
 
 
 def _sz_carrier(carrier, plus):

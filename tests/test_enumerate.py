@@ -1,5 +1,6 @@
 import hashlib
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -27,6 +28,7 @@ from constella.enumerate import (
     relabel,
 )
 from constella.functor import build_C
+from constella.theorems import FROZEN_CENSUS_COUNTS
 
 
 def test_singleton_census():
@@ -137,6 +139,23 @@ def test_canonical_dedupe_matches_the_pairwise_scan(census):
     reps = dedupe_up_to_iso(structures)
     assert reps == _pairwise_dedupe(structures)
     assert len(reps) == 25
+
+
+def _automorphisms(s):
+    """|Aut(s)|: the relabellings of the carrier that fix s."""
+    return sum(relabel(s, dict(zip(s.carrier, image)), s.carrier) == s
+               for image in permutations(s.carrier))
+
+
+@pytest.mark.parametrize("census", [
+    enumerate_lr_semigroupoids, enumerate_li_constellations], ids=["lrs", "lic"])
+def test_orbit_stabilizer_sums_recount_the_census(census):
+    # Each class representative s stands for n!/|Aut(s)| labelled structures.
+    for n in (1, 2, 3):
+        labelled = list(census(n))
+        orbits = [factorial(n) // _automorphisms(s)
+                  for s in dedupe_up_to_iso(labelled)]
+        assert sum(orbits) == len(labelled) == FROZEN_CENSUS_COUNTS[n]
 
 
 def test_dedupe_is_capped_at_eight():

@@ -8,18 +8,28 @@
   coded path runs on them.
 - _check_partial_order tests transitivity through successor lists; the
   plain scan over all pairs of pairs is kept here as the reference.
-- Szendrei elements keep their sort key and repr; here they are recomputed
-  from scratch, recursively.
+- Szendrei elements keep their sort key and build their repr from it;
+  here both are recomputed from scratch, recursively.
+- wo1 visits only the pairs of order pairs whose products are defined;
+  the plain double loop over the order pairs is kept here as the
+  reference.
+- Every scan runs in carrier order, so a report does not depend on the
+  hash seed; here two interpreters with different seeds must agree.
 - Every single edit of a census structure is valid exactly when it lands
   in the census.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from itertools import chain, product
+from pathlib import Path
 
 import pytest
 
+import constella
 from constella import fixtures
 from constella.constellation import (
     OrderedConstellation,
@@ -42,8 +52,8 @@ from constella.core import (
     check_left_restriction,
     check_semigroupoid,
     holds,
+    relabel,
 )
-from constella.enumerate import relabel
 from constella.functor import build_C, build_G
 from constella.io import serialize_structure
 from constella.szendrei import (
@@ -74,30 +84,25 @@ def _on_tuples(x):
     if not isinstance(x.carrier[0], str):
         return x
     mapping = {e: (e,) for e in x.carrier}
-    carrier = tuple(mapping.values())
-    if isinstance(x, PartialTable):
-        return PartialTable(carrier, {
-            (mapping[a], mapping[b]): mapping[c]
-            for (a, b), c in x.comp.items()})
-    return relabel(x, mapping, carrier)
+    return relabel(x, mapping, tuple(mapping.values()))
 
 
-# Scans as _scan_by_index runs them: scan(x, key) for a table or structure x.
+# Scans as _scan_by_index runs them: scan(x) for a table or structure x.
 _s_scan = _table_scan(_s_violations)
 _c12_scan = _table_scan(_c12_violations)
 TABLE_SCANS = (_s_scan, _c12_scan)
 
 
-def _lr_scan(s, key):
-    return _lr_violations(s.table, s.plus, key)
+def _lr_scan(s):
+    return _lr_violations(s.table, s.plus)
 
 
-def _order_scan(t, key):
-    return _order_violations(t.table, t.plus, t.order, key)
+def _order_scan(t):
+    return _order_violations(t.table, t.plus, t.order)
 
 
 def _direct(scan, x):
-    return tuple(scan(x, repr))
+    return tuple(scan(x))
 
 
 def _coded(scan, x):
@@ -145,21 +150,25 @@ def _sample_tables():
 
 
 def test_str_and_int_carriers_are_scanned_directly():
-    def scan(x, key):
-        return [(x, key)]
+    def scan(x):
+        return [x]
     for x in (fixtures.ex6_7(), build_C(fixtures.ex6_7()),
               PartialTable((0, 1), {(0, 1): 1})):
-        assert _scan_by_index(scan, x) == [(x, repr)]
+        assert _scan_by_index(scan, x) == [x]
+
+
+def _defined_in_carrier_order(table):
+    return [p for p in product(table.carrier, repeat=2) if p in table.defined]
 
 
 def test_coded_scans_name_witnesses_and_sort_keys_back():
-    def pairs(x, key):
+    def pairs(x):
         assert x.carrier == tuple(range(len(x.carrier)))
-        for pair in sorted(x.table.defined, key=key):
+        for pair in _defined_in_carrier_order(x.table):
             yield Violation("-", pair)
     for x in (_on_tuples(build_C(fixtures.ex6_7())), *_ex6_7_expansions()):
         witnesses = [v.witness for v in _scan_by_index(pairs, x)]
-        assert witnesses == sorted(x.table.defined, key=repr)
+        assert witnesses == _defined_in_carrier_order(x.table)
 
 
 def test_coded_scans_match_the_direct_scans():
@@ -199,15 +208,15 @@ def test_coded_structure_scans_match_on_every_single_edit():
     axioms = set()
     for s in chain.from_iterable(map(_lrs_edits, lrs)):
         _assert_coded_matches_direct((_lr_scan,), s)
-        axioms.update(v.axiom for v in _lr_scan(s, repr))
+        axioms.update(v.axiom for v in _lr_scan(s))
     # At n <= 2 every down-set is a chain, so x|e always has a maximum; the
     # order edits at n = 3 add the wo4 failures.
     edits = chain(chain.from_iterable(map(_lic_edits, lic)),
                   chain.from_iterable(map(_order_edits, _census_lic(3))))
     for t in edits:
         _assert_coded_matches_direct((_order_scan, _index_violations), t)
-        axioms.update(v.axiom for v in _order_scan(t, repr))
-        axioms.update(v.axiom for v in _index_violations(t, repr))
+        axioms.update(v.axiom for v in _order_scan(t))
+        axioms.update(v.axiom for v in _index_violations(t))
     assert axioms == {"lr1", "lr2", "lr3", "lr4", *(f"wo{i}" for i in range(1, 10))}
 
 
@@ -226,6 +235,64 @@ def test_checkers_report_the_coded_scans():
             t = OrderedConstellation(table, c.plus, c.order)
             assert check_locally_inductive(t).violations == _direct(
                 _order_scan, t) + _direct(_index_violations, t)
+
+
+def _wo1_reference(t):
+    """wo1 as the plain double loop over the order pairs in carrier order."""
+    comp, order = t.table.comp, t.order
+    pairs = [p for p in product(t.carrier, repeat=2) if p in order]
+    for x, y in pairs:
+        for x2, y2 in pairs:
+            if (x, x2) in comp and (y, y2) in comp \
+                    and (comp[x, x2], comp[y, y2]) not in order:
+                yield Violation("wo1", (x, y, x2, y2))
+
+
+def test_wo1_matches_the_double_loop_over_order_pairs():
+    sz, szsz = _ex6_7_expansions()[:2]
+    edits = chain.from_iterable(map(_order_edits, _census(3)[1]))
+    failing = 0
+    for t in chain(edits, (sz, szsz)):
+        wo1 = tuple(v for v in _order_scan(t) if v.axiom == "wo1")
+        assert wo1 == tuple(_wo1_reference(t))
+        failing += bool(wo1)
+    assert failing > 0
+
+
+def _fixture_edits():
+    """Every table, plus and order edit of the fixtures, on both sides."""
+    for s in fixtures.all_fixtures().values():
+        yield from _lrs_edits(s)
+        yield from _lic_edits(build_C(s))
+
+
+def _fixture_edit_reports():
+    return [x.validate().violations for x in _fixture_edits()]
+
+
+_SEEDED_REPORTS = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from test_exactness import _fixture_edit_reports
+reports = _fixture_edit_reports()
+print(sum(map(len, reports)), hashlib.sha256(repr(reports).encode()).hexdigest())
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # The fixtures' str labels hash differently under each seed, so a
+    # checker loop over a set would order its violations differently.
+    src = str(Path(constella.__file__).parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _SEEDED_REPORTS, str(Path(__file__).parent)],
+            env=env, capture_output=True, text=True, check=True).stdout)
+    assert outputs[0] == outputs[1]
+    assert int(outputs[0].split()[0]) > 0
 
 
 def _pair_scan(pairs, carrier):
