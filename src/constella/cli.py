@@ -203,9 +203,13 @@ def _record(structure):
     return json.dumps(doc, sort_keys=False)
 
 
-def cmd_enumerate(args):
+def _check_size(args):
     if args.size < 1:
         raise ParseError("--size must be at least 1")
+
+
+def cmd_enumerate(args):
+    _check_size(args)
     gen = (
         enumerate_lr_semigroupoids
         if args.kind == "lrs"
@@ -226,6 +230,7 @@ def cmd_enumerate(args):
 
 
 def cmd_theorems(args):
+    _check_size(args)
     cap = size_cap_from_env()
     if args.size > cap:
         raise CapExceededError(f"size {args.size} exceeds cap {cap}")

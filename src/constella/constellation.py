@@ -70,7 +70,7 @@ class CorestrictionResult:
 
     @classmethod
     def empty(cls):
-        return cls("empty")
+        return _EMPTY
 
     @classmethod
     def no_maximum(cls, candidates):
@@ -101,6 +101,10 @@ class CorestrictionResult:
         if self.kind == "empty":
             return "CorestrictionResult.empty()"
         return f"CorestrictionResult.no_maximum({set(self.candidates)!r})"
+
+
+# Results are never mutated, so every empty x|e is this one object.
+_EMPTY = CorestrictionResult("empty")
 
 
 class OrderedConstellation(_PlusStructure):
@@ -139,12 +143,11 @@ class OrderedConstellation(_PlusStructure):
             carrier, order, D = self.carrier, self.order, self.table.defined
             below = [(x, [y for y in carrier if (y, x) in order])
                      for x in carrier]
-            cores = {
-                (x, e): _corestriction_of(
-                    self, tuple(y for y in down if (y, e) in D))
-                for e in self.plus_image()
-                for x, down in below
-            }
+            cores = {}
+            for e in self.plus_image():
+                for x, down in below:
+                    cores[x, e] = _corestriction_of(
+                        self, [y for y in down if (y, e) in D])
             object.__setattr__(self, "_cores", cores)
         return cores
 
@@ -253,8 +256,12 @@ def corestriction_candidates(t, x, e):
 
 
 def _maximum(t, elements):
+    order = t.order
     for m in elements:
-        if all((y, m) in t.order for y in elements):
+        for y in elements:
+            if (y, m) not in order:
+                break
+        else:
             return m
     return None
 
@@ -262,7 +269,7 @@ def _maximum(t, elements):
 def _corestriction_of(t, cands):
     """x|e from its candidates, in carrier order."""
     if not cands:
-        return CorestrictionResult.empty()
+        return _EMPTY
     m = _maximum(t, cands)
     if m is None:
         return CorestrictionResult.no_maximum(cands)
@@ -314,7 +321,7 @@ def plus_components(t):
         return a
 
     for a, b in t.order:
-        if a in parent and b in parent:
+        if a != b and a in parent and b in parent:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[rb] = ra
@@ -338,8 +345,21 @@ def meet(t, e, f):
 def check_locally_inductive(t):
     """Check wo1-wo9 for an ordered constellation.
 
-    Existence guards (the "x|e is nonempty" side conditions) are tested on
-    the candidate sets, so each axiom is decided independently of wo4.
+    wo1: x <= y, x2 <= y2 with xx2 and yy2 defined imply xx2 <= yy2.
+    wo2: x <= y implies x+ <= y+.
+    wo3: e <= x+ implies exactly one y <= x has y+ = e.
+    wo4: x|e has a maximum whenever it is nonempty.
+    wo5: xy defined: (xy)|e is nonempty iff y|e is.
+    wo6: f <= e: x|e is nonempty iff x|f is.
+    wo7: xy defined, (xy)|e nonempty: (xy)|e and x|(y|e)+ exist, same plus.
+    wo8: e <= f: the restriction of f to e (the y <= f with y+ = e) is e|f.
+    wo9: e|f is the meet of e and f in T+ in one plus-component, else empty.
+
+    Here e and f range over T+, and x|e is the corestriction, the index
+    entry (x, e): the maximum of its candidates, the y <= x with ye
+    defined; it is nonempty when it has candidates.  The existence guards
+    are tested on the candidate sets, so each axiom is decided
+    independently of wo4.
     """
     return ValidationReport(_scan_by_index(
         lambda c: chain(_order_violations(c.table, c.plus, c.order),
@@ -354,8 +374,6 @@ def _order_violations(table, plus, order):
     D = table.defined
     comp = table.comp
     carrier = table.carrier
-    plus_values = set(plus.values())
-    image = [e for e in carrier if e in plus_values]
     up = [(x, [y for y in carrier if (x, y) in order]) for x in carrier]
 
     # wo1 visits only the x2 with (x, x2) and the y2 with (y, y2) defined;
@@ -374,39 +392,40 @@ def _order_violations(table, plus, order):
             if (plus[x], plus[y]) not in order:
                 yield Violation("wo2", (x, y))
 
-    for e in image:
+    # wo3 counts, for each x and e, the y <= x with y+ = e
+    restrictions = {}
+    for y, xs in up:
+        e = plus[y]
+        for x in xs:
+            restrictions[x, e] = restrictions.get((x, e), 0) + 1
+    for e in filter(set(plus.values()).__contains__, carrier):
         for x in carrier:
-            if (e, plus[x]) not in order:
-                continue
-            found = [y for y in carrier if (y, x) in order and plus[y] == e]
-            if len(found) != 1:
+            if (e, plus[x]) in order and restrictions.get((x, e)) != 1:
                 yield Violation("wo3", (e, x))
 
 
 def _index_violations(t):
-    """wo4-wo9, read from the constellation's corestriction index as two
-    maps: x|e or None, and whether x|e has candidates.  wo5 and wo7 run
-    over the defined pairs in carrier order."""
-    D = t.table.defined
+    """wo4-wo9, read from the constellation's corestriction index: x|e has
+    candidates when its entry is not the shared empty result.  wo5 and wo7
+    run over the defined pairs in carrier order."""
     comp = t.table.comp
     order = t.order
     carrier = t.carrier
     plus = t.plus
     image = t.plus_image()
     cores = t.corestrictions()
-    value = {xe: c.value for xe, c in cores.items()}
-    nonempty = {xe: c.kind != "empty" for xe, c in cores.items()}
 
     for x in carrier:
         for e in image:
-            if nonempty[x, e] and value[x, e] is None:
+            if cores[x, e].kind == "no_maximum":
                 yield Violation("wo4", (x, e))
 
-    defined = [xy for xy in product(carrier, repeat=2) if xy in D]
+    defined = [(x, y, comp[x, y]) for x, y in product(carrier, repeat=2)
+               if (x, y) in comp]
 
     for e in image:
-        for (x, y) in defined:
-            if nonempty[comp[(x, y)], e] != nonempty[y, e]:
+        for x, y, xy in defined:
+            if (cores[xy, e] is _EMPTY) != (cores[y, e] is _EMPTY):
                 yield Violation("wo5", (x, y, e))
 
     for e in image:
@@ -414,52 +433,49 @@ def _index_violations(t):
             if (f, e) not in order:
                 continue
             for x in carrier:
-                if nonempty[x, e] != nonempty[x, f]:
+                if (cores[x, e] is _EMPTY) != (cores[x, f] is _EMPTY):
                     yield Violation("wo6", (x, e, f))
 
     for e in image:
-        for (x, y) in defined:
-            xy = comp[(x, y)]
-            if not nonempty[xy, e]:
+        for x, y, xy in defined:
+            core = cores[xy, e]
+            if core is _EMPTY:
                 continue
-            m_xy, m_y = value[xy, e], value[y, e]
-            m_x = None if m_y is None else value[x, plus[m_y]]
+            m_xy, m_y = core.value, cores[y, e].value
+            m_x = None if m_y is None else cores[x, plus[m_y]].value
             if m_xy is None or m_x is None or plus[m_xy] != plus[m_x]:
                 yield Violation("wo7", (x, y, e))
 
+    # wo8 reads the restrictions of each f in T+: the y <= f by their plus
+    restrictions = {}
+    for f in image:
+        for y in carrier:
+            if (y, f) in order:
+                restrictions.setdefault((f, plus[y]), []).append(y)
     for e in image:
         for f in image:
             if (e, f) not in order:
                 continue
-            found = [y for y in carrier if (y, f) in order and plus[y] == e]
-            m = value[e, f]
+            found = restrictions.get((f, e), ())
+            m = cores[e, f].value
             if len(found) != 1 or m is None or found[0] != m:
                 yield Violation("wo8", (e, f))
 
     # wo9: the corestriction restricted to T+ is exactly the partial meet
-    # of the local semilattice: within a component it is the meet, across
-    # components it must not exist.
+    # of the local semilattice: within a component it is the meet (a lower
+    # bound in T+ of e and f above all their common lower bounds in T+),
+    # across components it must not exist.
     component = {
         e: i for i, (group, _) in enumerate(t.components()) for e in group
     }
+    lower = {e: {g for g in image if (g, e) in order} for e in image}
     for e in image:
         for f in image:
             if component[e] != component[f]:
-                if nonempty[e, f]:
+                if cores[e, f] is not _EMPTY:
                     yield Violation("wo9", (e, f))
                 continue
-            m = value[e, f]
-            ok = (
-                m is not None
-                and m in component
-                and component[m] == component[e]
-                and (m, e) in order
-                and (m, f) in order
-                and all(
-                    (g, m) in order
-                    for g in image
-                    if (g, e) in order and (g, f) in order
-                )
-            )
-            if not ok:
+            m = cores[e, f].value
+            common = lower[e] & lower[f]
+            if m not in common or not common <= lower[m]:
                 yield Violation("wo9", (e, f))

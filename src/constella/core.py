@@ -164,7 +164,7 @@ class _PlusStructure:
     def plus_image(self):
         """S^+, in carrier order."""
         image = set(self.plus.values())
-        return tuple(x for x in self.carrier if x in image)
+        return tuple(filter(image.__contains__, self.carrier))
 
 
 class LeftRestrictionSemigroupoid(_PlusStructure):
@@ -242,7 +242,7 @@ def relabel(x, mapping, carrier):
     return type(x)(*parts)
 
 
-_HASHED_IN_C = (str, int)
+_HASHED_IN_C = frozenset((str, int))
 
 
 def _scan_by_index(scan, x):
@@ -262,7 +262,7 @@ def _scan_by_index(scan, x):
     scan runs on x itself.
     """
     carrier = x.carrier
-    if all(type(e) in _HASHED_IN_C for e in carrier):
+    if _HASHED_IN_C.issuperset(map(type, carrier)):
         return scan(x)
     n = len(carrier)
     coded = relabel(x, dict(zip(carrier, range(n))), range(n))

@@ -40,10 +40,10 @@ class ParseError(ValueError):
 
 
 def _tokenize(text):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line.split()
+    """(line number, tokens) for each line that has tokens."""
+    numbered = enumerate(text.splitlines(), start=1)
+    return [(i, tokens) for i, raw in numbered
+            if (tokens := raw.split("#", 1)[0].split())]
 
 
 def parse_structure(text):
@@ -53,7 +53,7 @@ def parse_structure(text):
     constellations the stored order is the reflexive-transitive closure of
     the order lines.
     """
-    lines = list(_tokenize(text))
+    lines = _tokenize(text)
     if not lines:
         raise ParseError("empty file")
     ln, head = lines[0]
@@ -68,7 +68,7 @@ def parse_structure(text):
     elements_ln = None
     plus = {}
     comp = {}
-    order = set()
+    order = []
 
     for ln, tokens in lines[1:]:
         tag, rest = tokens[0], tokens[1:]
@@ -101,7 +101,7 @@ def parse_structure(text):
                 raise ParseError("order lines are not allowed for kind semigroupoid", ln)
             if len(rest) != 2:
                 raise ParseError("order expects two tokens", ln)
-            order.add((rest[0], rest[1], ln))
+            order.append((rest[0], rest[1], ln))
         else:
             raise ParseError(f"unknown directive {tag!r}", ln)
 
@@ -109,23 +109,23 @@ def parse_structure(text):
         raise ParseError("missing elements line")
     members = set(elements)
 
-    def known(el, ln):
-        if el not in members:
-            raise ParseError(f"unknown element {el!r}", ln)
+    def unknown(ln, *els):
+        bad = next(el for el in els if el not in members)
+        return ParseError(f"unknown element {bad!r}", ln)
 
     for el, (val, ln) in plus.items():
-        known(el, ln)
-        known(val, ln)
-    for el in elements:
-        if el not in plus:
-            raise ParseError(f"missing plus line for {el!r}", elements_ln)
+        if el not in members or val not in members:
+            raise unknown(ln, el, val)
+    # every plus key is known, so plus is total when it has as many keys
+    if len(plus) != len(members):
+        missing = next(el for el in elements if el not in plus)
+        raise ParseError(f"missing plus line for {missing!r}", elements_ln)
     for (a, b), (c, ln) in comp.items():
-        known(a, ln)
-        known(b, ln)
-        known(c, ln)
+        if a not in members or b not in members or c not in members:
+            raise unknown(ln, a, b, c)
     for a, b, ln in order:
-        known(a, ln)
-        known(b, ln)
+        if a not in members or b not in members:
+            raise unknown(ln, a, b)
 
     carrier = tuple(sorted(elements))
     table = PartialTable(carrier, {k: v for k, (v, _) in comp.items()})
@@ -134,26 +134,35 @@ def parse_structure(text):
     if kind == "semigroupoid":
         return LeftRestrictionSemigroupoid(table, plus_map)
 
-    closed = _reflexive_transitive_closure({(a, b) for a, b, _ in order}, carrier)
-    cycles = [(a, b) for a, b in closed if a != b and (b, a) in closed]
+    above = _reachable([(a, b) for a, b, _ in order], carrier)
+    cycles = [(a, b) for a in carrier for b in above[a]
+              if b != a and a in above[b]]
     if cycles:
         # the first pair in carrier order, which is sorted
         a, b = min(cycles)
-        raise ParseError(f"order is not a partial order: cycle through {a!r} and {b!r}")
+        raise ParseError("order is not a partial order: "
+                         f"cycle through {a!r} and {b!r}")
+    closed = frozenset((a, b) for a in carrier for b in above[a])
     return OrderedConstellation(table, plus_map, closed)
 
 
-def _reflexive_transitive_closure(pairs, carrier):
-    closed = set(pairs) | {(a, a) for a in carrier}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closed):
-            for c, d in list(closed):
-                if b == c and (a, d) not in closed:
-                    closed.add((a, d))
-                    changed = True
-    return frozenset(closed)
+def _reachable(pairs, carrier):
+    """{a: the set of b with (a, b) in the reflexive-transitive closure of
+    pairs}, one search along the successor lists from each element."""
+    successors = {a: [] for a in carrier}
+    for a, b in pairs:
+        successors[a].append(b)
+    above = {}
+    for a in carrier:
+        seen = {a}
+        todo = [a]
+        while todo:
+            for b in successors[todo.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        above[a] = seen
+    return above
 
 
 def _transitive_reduction(order):
@@ -275,15 +284,42 @@ def _witness_text(witness):
     return [w if isinstance(w, str) else str(w) for w in witness]
 
 
-def render_report(valid=None, violations=None, classification=None, counts=None):
-    """Stable-keyed JSON document for CLI output and golden tests."""
-    doc = {}
+# json's C string quoter, the one json.dumps uses for ensure_ascii output
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _violation_entry(v):
+    """One violation as json.dumps(indent=2) writes it in the report."""
+    items = ",\n        ".join(map(_quote, _witness_text(v.witness)))
+    witness = f"[\n        {items}\n      ]" if items else "[]"
+    return (f'    {{\n      "axiom": {_quote(v.axiom)},\n'
+            f'      "witness": {witness}\n    }}')
+
+
+def _nested(doc):
+    """json.dumps(doc, indent=2) one level down."""
+    return json.dumps(doc, indent=2).replace("\n", "\n  ") if doc else "{}"
+
+
+def render_report(valid=None, violations=None, classification=None,
+                  counts=None):
+    """Stable-keyed JSON document for CLI output and golden tests.
+
+    The text is json.dumps(doc, indent=2) of the document with the keys
+    valid (a bool, left out when None), violations (sorted, each an axiom
+    and its witness as strings), classification and counts.  The
+    violations are written directly, because json writes indented output
+    with its pure-Python encoder, which costs as much as validating a small
+    structure.
+    """
+    entries = sorted(violations or (),
+                     key=lambda v: (v.axiom, repr(v.witness)))
+    listed = ",\n".join(map(_violation_entry, entries))
+    parts = ["{\n"]
     if valid is not None:
-        doc["valid"] = valid
-    doc["violations"] = [
-        {"axiom": v.axiom, "witness": _witness_text(v.witness)}
-        for v in sorted(violations or (), key=lambda v: (v.axiom, repr(v.witness)))
-    ]
-    doc["classification"] = classification or {}
-    doc["counts"] = counts or {}
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        parts.append(f'  "valid": {"true" if valid else "false"},\n')
+    parts.append(f'  "violations": [\n{listed}\n  ],\n' if listed
+                 else '  "violations": [],\n')
+    parts.append(f'  "classification": {_nested(classification)},\n')
+    parts.append(f'  "counts": {_nested(counts)}\n}}\n')
+    return "".join(parts)

@@ -237,6 +237,13 @@ def test_enumerate_size_zero_exits_2(capsys):
     assert err.splitlines() == ["error: --size must be at least 1"]
 
 
+def test_theorems_size_below_one_exits_2(capsys):
+    for size in ("0", "-1"):
+        code, out, err = run(capsys, "theorems", "--size", size)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: --size must be at least 1"]
+
+
 def test_theorems_small(capsys):
     code, out, _ = run(capsys, "theorems", "--size", "1")
     assert code == 0

@@ -17,7 +17,7 @@ from constella.constellation import (
     plus_components,
     restriction,
 )
-from constella.core import PartialTable, _check_partial_order
+from constella.core import PartialTable, Violation, _check_partial_order
 from constella.enumerate import enumerate_li_constellations
 from constella.functor import build_C
 from constella.szendrei import expand_constellation
@@ -119,6 +119,21 @@ def test_wo2_violation_from_mutated_fixture():
         base.table, {"0": "e", "e": "e", "f": "f"}, base.order
     )
     assert "wo2" in check_locally_inductive(mutated).axioms()
+
+
+def test_wo8_compares_the_restriction_with_e_corestricted_to_f():
+    # 0 <= 1 in T+ = {0, 1}, with only 00 and 11 defined: the restriction
+    # of 1 to 0 is 0, but 0|1 is empty, so wo8 fails at (0, 1).  Read the
+    # other way round, 1|0 is 0 (0 <= 1 and 00 is defined) and wo8 would
+    # hold, so the report pins which entry wo8 reads.
+    table = PartialTable(["0", "1"], {("0", "0"): "0", ("1", "1"): "1"})
+    order = {("0", "0"), ("1", "1"), ("0", "1")}
+    t = OrderedConstellation(table, {"0": "0", "1": "1"}, order)
+    assert check_locally_inductive(t).violations == (
+        Violation("wo6", ("0", "1", "0")),
+        Violation("wo8", ("0", "1")),
+        Violation("wo9", ("0", "1")),
+    )
 
 
 def test_plus_components():

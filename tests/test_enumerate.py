@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from itertools import permutations, product
 from math import factorial
 
@@ -44,6 +45,18 @@ def test_singleton_census():
 def test_census_counts_are_frozen():
     assert len(list(enumerate_lr_semigroupoids(2))) == 9
     assert len(list(enumerate_li_constellations(2))) == 9
+
+
+def test_each_table_and_plus_has_at_most_one_valid_order():
+    # The fact an order search stopping at the first valid order would
+    # rely on, checked at the sizes the suite can afford.
+    for n, pairs in ((1, 1), (2, 9), (3, 130)):
+        orders = Counter(
+            (t.table, frozenset(t.plus.items()))
+            for t in enumerate_li_constellations(n)
+        )
+        assert len(orders) == pairs
+        assert set(orders.values()) == {1}
 
 
 def test_pruned_enumeration_matches_naive_oracle():

@@ -17,20 +17,24 @@
   hash seed; here two interpreters with different seeds must agree.
 - Every single edit of a census structure is valid exactly when it lands
   in the census.
+- render_report writes its JSON text directly; json.dumps(doc, indent=2)
+  of the same document is kept here as the reference.
 """
 
 import hashlib
+import json
 import os
 import random
 import subprocess
 import sys
-from itertools import chain, product
+from itertools import chain, islice, product
 from pathlib import Path
 
 import pytest
 
 import constella
 from constella import fixtures
+from constella.classify import classify_constellation, classify_semigroupoid
 from constella.constellation import (
     OrderedConstellation,
     _c12_violations,
@@ -55,7 +59,7 @@ from constella.core import (
     relabel,
 )
 from constella.functor import build_C, build_G
-from constella.io import serialize_structure
+from constella.io import render_report, serialize_structure
 from constella.szendrei import (
     SzendreiElement,
     expand_constellation,
@@ -443,3 +447,60 @@ def test_single_edits_are_valid_exactly_in_the_census(kind):
             total += 1
             valid += inside
     assert (total, valid) == SINGLE_EDIT_COUNTS[kind]
+
+
+def _json_report(valid=None, violations=None, classification=None,
+                 counts=None):
+    """The report render_report writes, as json.dumps formats it."""
+    doc = {} if valid is None else {"valid": valid}
+    doc["violations"] = [
+        {"axiom": v.axiom,
+         "witness": [w if isinstance(w, str) else str(w) for w in v.witness]}
+        for v in sorted(violations or (),
+                        key=lambda v: (v.axiom, repr(v.witness)))
+    ]
+    doc["classification"] = classification or {}
+    doc["counts"] = counts or {}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _reported_structures():
+    lrs, lic = _census(2)
+    yield from chain.from_iterable(map(_lrs_edits, lrs))
+    yield from chain.from_iterable(map(_lic_edits, lic))
+    yield from _fixture_edits()
+    # Szendrei elements are not strings, so their witnesses go through
+    # str(); every seventh table edit keeps this part of the suite short.
+    sz = expand_constellation(build_C(fixtures.ex6_7()))
+    for table in islice(_table_edits(sz.table), None, None, 7):
+        yield OrderedConstellation(table, sz.plus, sz.order)
+
+
+def _classification(s):
+    c = (classify_semigroupoid(s) if isinstance(s, LeftRestrictionSemigroupoid)
+         else classify_constellation(s))
+    return dict(c.flags(), witnesses={
+        key: [w if isinstance(w, str) else str(w) for w in value]
+        for key, value in sorted(c.witnesses.items())})
+
+
+def test_rendered_reports_match_json_dumps():
+    calls = [{}, {"valid": True, "violations": []},
+             {"valid": False, "violations": [Violation("wo4", ())]},
+             {"valid": False, "violations": [
+                 Violation("lr1", ('q"uote',)),
+                 Violation("lr2", ("back\\slash", "caf\u00e9", "\u2603\U0001f600")),
+                 Violation("s1", ("tab\tnew\nline", "\x00"))]},
+             {"valid": True, "counts": {"kind": "lic", "size": 3, "count": 130,
+                                        "up_to_iso": True}}]
+    for s in fixtures.all_fixtures().values():
+        for x in (s, build_C(s)):
+            calls.append({"valid": True, "classification": _classification(x)})
+    failing = set()
+    for x in _reported_structures():
+        report = x.validate()
+        failing.update(v.axiom for v in report.violations)
+        calls.append({"valid": report.valid, "violations": report.violations})
+    for kwargs in calls:
+        assert render_report(**kwargs) == _json_report(**kwargs), kwargs
+    assert len(failing) == 20  # every axiom, s1-s3, lr1-lr4, c1-c4, wo1-wo9

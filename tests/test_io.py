@@ -116,6 +116,14 @@ def test_parse_error_carries_line_numbers():
     assert err.value.line == 4
 
 
+def test_unknown_element_in_order_lines_names_the_first():
+    bad = [f"order a z{i}" for i in range(20)]
+    text = "kind constellation\nelements a\nplus a a\n" + "\n".join(bad)
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    assert str(err.value) == "line 4: unknown element 'z0'"
+
+
 def test_expansion_labels_are_valid_ids():
     sz = expand_semigroupoid(fixtures.ex6_5())
     labels = element_labels(sz.carrier)
