@@ -126,6 +126,24 @@ class OrderedConstellation(_PlusStructure):
         problem = _check_partial_order(order, table.carrier)
         if problem is not None:
             raise ValueError(f"order is not a partial order: {problem}")
+        self._keep_order(order)
+
+    @classmethod
+    def _trusted(cls, table, plus, order):
+        """The constellation the constructor would build, without its order
+        checks (every pair inside the carrier, a partial order).
+
+        Only for callers that have just proved ``order`` a partial order on
+        the carrier: the census builds its candidate orders that way, and
+        build_C takes natural_order's relation, which raises InvalidOrderError
+        when it is not one.  The plus map is still checked for shape.
+        """
+        t = cls.__new__(cls)
+        _PlusStructure.__init__(t, table, plus)
+        t._keep_order(frozenset(order))
+        return t
+
+    def _keep_order(self, order):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_cores", None)
         object.__setattr__(self, "_components", None)

@@ -22,10 +22,17 @@ Each table is paired only with plus maps that draw x+ from {e : ex = x},
 a condition both lr1 and c3 impose.  The remaining axioms are decided by
 the same generators the reporting checkers collect, stopped at the first
 violation.
+
+On the constellation side the order is built from the (table, plus) pair
+rather than searched among all partial orders (_candidate_orders).  The
+axioms force e+ = e on T+, fix the order on T+ as e <= f iff ef is
+defined, and make the down-set of each x outside T+ the set of its
+restrictions, one y with y+ = e for each e <= x+.  Only those down-sets
+are chosen among; wo1-wo9 still decide every candidate.
 """
 
 import os
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from .constellation import (
     OrderedConstellation,
@@ -344,21 +351,72 @@ def enumerate_li_constellations(n, cap=None):
 
     Generated directly from the constellation axioms, independently of the
     semigroupoid census, so the two counts can serve as oracles for each
-    other.
+    other.  Each (table, plus) pair passing c1-c4 is tried only with the
+    orders of _candidate_orders, a superset of its valid orders, and every
+    candidate is then decided by wo1-wo9.  A pair has at most one valid
+    order, so the stream is the one a filter over every partial order
+    (all_partial_orders) yields.
     """
     _check_cap(n, cap)
     carrier = carrier_labels(n)
-    orders = all_partial_orders(carrier)
     for table in _tables(carrier, _c12_violations):
         for plus in _plus_maps(table):
             if not holds(_c34_violations(table, plus)):
                 continue
-            for order in orders:
+            for order in _candidate_orders(table, plus):
                 if not holds(_order_violations(table, plus, order)):
                     continue
-                t = OrderedConstellation(table, plus, order)
+                t = OrderedConstellation._trusted(table, plus, order)
                 if holds(_index_violations(t)):
                     yield t
+
+
+def _candidate_orders(table, plus):
+    """The partial orders on the carrier of the form every locally inductive
+    order of (table, plus) has, given that c1-c4 hold: nothing when some
+    e in T+ has e+ != e; otherwise e <= f iff ef is defined, for e, f in T+,
+    and for each x outside T+ the down-set {x} | {y_e : e < x+ in T+}, one
+    y_e with y_e+ = e drawn for each such e.  The choices run in carrier
+    order, the last x and e fastest.
+
+    Why every valid order has this form.  Write x|e for the corestriction
+    (the maximum of the y <= x with ye defined), e, f for elements of T+.
+
+    - e+ = e: c3 for the plus-element e+ and x = e gives e+e = e; so e+e
+      is defined, and c4 for the plus-element e gives e+e = e+.
+    - ef defined implies e <= f: the candidates for e|f lie in the down-set
+      of e and include e, so e|f = e.  By wo9 a nonempty e|f is the meet
+      of e and f in one plus-component, a common lower bound: e <= f.
+    - e <= f implies ef defined: since f+ = f, wo3 gives exactly one y <= f
+      with y+ = e, and e is one.  wo8 makes it e|f, so e is a candidate
+      for e|f, that is, ef is defined.
+    - y <= x implies y+ <= x+ (wo2), and for each e <= x+ exactly one
+      y <= x has y+ = e (wo3).  So the down-set of x is {y_e : e <= x+},
+      with y_(x+) = x.
+    - For x in T+ and y <= x: wo2 gives y+ <= x+ = x, and both y and y+
+      are a z <= x with z+ = y+, as (y+)+ = y+.  wo3 allows only one, so
+      y = y+: the down-set of x lies inside T+, where the order is fixed
+      above.
+    """
+    carrier = table.carrier
+    image = set(plus.values())
+    if any(plus[e] != e for e in image):
+        return
+    D = table.defined
+    fibre = {e: [y for y in carrier if plus[y] == e] for e in image}
+    fixed = [(e, f) for e, f in D if e in image and f in image]
+    slots = []  # one list of pairs (y_e, x) per x outside T+ and e < x+
+    for x in carrier:
+        if x in image:
+            continue
+        fixed.append((x, x))
+        top = plus[x]
+        slots += [[(y, x) for y in fibre[e]] for e in carrier
+                  if e in image and e != top and (e, top) in D]
+    for chosen in product(*slots):
+        order = frozenset(chain(fixed, chosen))
+        if _check_partial_order(order, carrier) is None:
+            yield order
 
 
 def _permutations(src, dst):

@@ -31,7 +31,8 @@ def build_C(s):
     for a, b in product(s.carrier, repeat=2):
         if s.table.comp.get((a, s.plus[b])) == a:
             comp[(a, b)] = s.table.comp[(a, b)]
-    return OrderedConstellation(
+    # natural_order raises unless its relation is a partial order
+    return OrderedConstellation._trusted(
         PartialTable(s.carrier, comp), s.plus, natural_order(s)
     )
 

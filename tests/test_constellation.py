@@ -36,6 +36,27 @@ def test_order_must_be_partial_order():
         OrderedConstellation(t, {"a": "a", "b": "b"}, {("a", "a")})
 
 
+_REFLEXIVE = {(x, x) for x in "abc"}
+
+
+@pytest.mark.parametrize("plus, order, message", [
+    ({"a": "a"}, _REFLEXIVE, "plus must be total on the carrier"),
+    ({"a": "a", "b": "b", "c": "d"}, _REFLEXIVE,
+     "plus image leaves the carrier"),
+    (None, _REFLEXIVE | {("a", "d")}, "order pair ('a', 'd') leaves the carrier"),
+    (None, {("a", "a")}, "order is not a partial order: not reflexive at 'b'"),
+    (None, _REFLEXIVE | {("a", "b"), ("b", "c")},
+     "order is not a partial order: not transitive at ('a', 'b', 'c')"),
+])
+def test_constructor_messages(plus, order, message):
+    # the census and build_C skip these checks (OrderedConstellation._trusted);
+    # the public constructor keeps them, word for word
+    t = PartialTable(["a", "b", "c"], {(x, x): x for x in "abc"})
+    with pytest.raises(ValueError) as error:
+        OrderedConstellation(t, plus or {x: x for x in "abc"}, order)
+    assert str(error.value) == message
+
+
 @pytest.mark.parametrize("name", sorted(fixtures.all_fixtures()))
 def test_constellations_of_fixtures_are_valid(name):
     t = C(name)

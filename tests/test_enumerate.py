@@ -6,7 +6,14 @@ from math import factorial
 import pytest
 
 from constella import fixtures
-from constella.constellation import _c12_violations, _c34_violations
+from constella.cli import _record
+from constella.constellation import (
+    OrderedConstellation,
+    _c12_violations,
+    _c34_violations,
+    _index_violations,
+    _order_violations,
+)
 from constella.core import (
     PartialTable,
     _lr_violations,
@@ -29,7 +36,13 @@ from constella.enumerate import (
     relabel,
 )
 from constella.functor import build_C
+from constella.szendrei import expand_constellation
 from constella.theorems import FROZEN_CENSUS_COUNTS
+
+LRS_4_DIGEST = \
+    "d5a5a7e3431a8e2a605c52c92d2b218574d8df8c74515c1f2a27b21374b5a041"
+LIC_4_DIGEST = \
+    "df962000b5a9100167c4182763cad26c085f6beb9abce6889e178a920eab59ef"
 
 
 def test_singleton_census():
@@ -47,16 +60,115 @@ def test_census_counts_are_frozen():
     assert len(list(enumerate_li_constellations(2))) == 9
 
 
-def test_each_table_and_plus_has_at_most_one_valid_order():
-    # The fact an order search stopping at the first valid order would
-    # rely on, checked at the sizes the suite can afford.
-    for n, pairs in ((1, 1), (2, 9), (3, 130)):
+@pytest.fixture(scope="module")
+def census_4():
+    """The n = 4 censuses (lrs, lic), built once for this module."""
+    return (list(enumerate_lr_semigroupoids(4)),
+            list(enumerate_li_constellations(4)))
+
+
+def test_each_table_and_plus_has_at_most_one_valid_order(census_4):
+    # The census tries each (table, plus) pair with a superset of its valid
+    # orders and yields every one that passes; one per pair keeps the
+    # stream that of the filter over every partial order.
+    for n, pairs in ((1, 1), (2, 9), (3, 130), (4, 3021)):
+        census = census_4[1] if n == 4 else enumerate_li_constellations(n)
         orders = Counter(
-            (t.table, frozenset(t.plus.items()))
-            for t in enumerate_li_constellations(n)
-        )
+            (t.table, frozenset(t.plus.items())) for t in census)
         assert len(orders) == pairs
         assert set(orders.values()) == {1}
+
+
+def _reference_li_constellations(n):
+    # every partial order of the carrier for each (table, plus) pair
+    # passing c1-c4, filtered by wo1-wo3 and then wo4-wo9
+    carrier = carrier_labels(n)
+    orders = all_partial_orders(carrier)
+    for table in _tables(carrier, _c12_violations):
+        for plus in _plus_maps(table):
+            if not holds(_c34_violations(table, plus)):
+                continue
+            for order in orders:
+                if not holds(_order_violations(table, plus, order)):
+                    continue
+                t = OrderedConstellation(table, plus, order)
+                if holds(_index_violations(t)):
+                    yield t
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_built_orders_give_the_stream_of_the_all_orders_filter(n):
+    built = list(enumerate_li_constellations(n))
+    reference = list(_reference_li_constellations(n))
+    assert [(t.table, t.plus, t.order) for t in built] == \
+        [(t.table, t.plus, t.order) for t in reference]
+
+
+def _assert_order_lemma(t):
+    """What _candidate_orders builds from: e+ = e on T+, the order on T+
+    is {(e, f) : ef defined}, and the down-set of an element of T+ lies
+    inside T+."""
+    image = set(t.plus_image())
+    assert all(t.plus[e] == e for e in image), t
+    assert {(e, f) for e, f in t.order if e in image and f in image} == \
+        {(e, f) for e, f in t.table.defined if e in image and f in image}, t
+    assert all(y in image for y, x in t.order if x in image), t
+
+
+def test_order_lemma_on_the_census(census_4):
+    for n in (1, 2, 3):
+        for t in enumerate_li_constellations(n):
+            _assert_order_lemma(t)
+    for t in census_4[1]:
+        _assert_order_lemma(t)
+
+
+def test_order_lemma_on_the_valid_single_edits():
+    # the valid items of the n <= 3 single-edit oracle in test_exactness,
+    # which are exactly the edits landing in the census
+    from test_exactness import (
+        SINGLE_EDIT_COUNTS, _census, _lic_edits, _lrs_edits)
+
+    lrs, lic = _census(3)
+    checked = 0
+    for census, edits, to_lic in ((lrs, _lrs_edits, build_C),
+                                  (lic, _lic_edits, lambda t: t)):
+        members = set(census)
+        for base in census:
+            for edited in edits(base):
+                if edited in members:
+                    _assert_order_lemma(to_lic(edited))
+                    checked += 1
+    assert checked == sum(valid for _, valid in SINGLE_EDIT_COUNTS.values())
+
+
+def test_order_lemma_on_fixtures_and_expansions(all_fixtures):
+    for s in all_fixtures.values():
+        _assert_order_lemma(build_C(s))
+    t = build_C(fixtures.ex6_7())
+    for _ in range(3):
+        t = expand_constellation(t)
+        _assert_order_lemma(t)
+
+
+def _records_digest(structures):
+    return hashlib.sha256(
+        "".join(_record(s) + "\n" for s in structures).encode()).hexdigest()
+
+
+def test_size_4_census_streams_are_frozen(census_4):
+    # the records `constella enumerate --kind {lrs,lic} --size 4` prints,
+    # as the filter over every partial order produced them
+    lrs, lic = census_4
+    assert _records_digest(lrs) == LRS_4_DIGEST
+    assert _records_digest(lic) == LIC_4_DIGEST
+
+
+def test_build_C_is_a_bijection_onto_the_size_4_census(census_4):
+    lrs, lic = census_4
+    images = {build_C(s) for s in lrs}
+    assert len(images) == len(lrs) == len(lic) == 3021
+    assert images == set(lic)
 
 
 def test_pruned_enumeration_matches_naive_oracle():
