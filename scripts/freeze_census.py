@@ -21,16 +21,16 @@ the censuses) are the routes that must agree.
 
 import argparse
 import time
-from itertools import permutations, product
+from itertools import product
 from math import factorial
 
 from constella.core import (
     PartialTable,
     check_left_restriction,
     check_semigroupoid,
-    relabel,
 )
 from constella.enumerate import (
+    canonical_form,
     carrier_labels,
     dedupe_up_to_iso,
     enumerate_li_constellations,
@@ -58,15 +58,9 @@ def naive_lr_count(n):
 
 
 def orbit_sum(reps, n):
-    """The sum of n!/|Aut(s)| over the class representatives, where Aut(s)
-    is the set of relabellings of the carrier that fix s."""
-    total = 0
-    for s in reps:
-        automorphisms = sum(
-            relabel(s, dict(zip(s.carrier, image)), s.carrier) == s
-            for image in permutations(s.carrier))
-        total += factorial(n) // automorphisms
-    return total
+    """The sum of n!/|Aut(s)| over the class representatives, with |Aut(s)|
+    counted by canonical_form."""
+    return sum(factorial(n) // canonical_form(s)[2] for s in reps)
 
 
 def main():

@@ -7,7 +7,7 @@ that the test-suite checks, never an implementation shortcut.
 
 from itertools import product
 
-from .core import is_left_identity, is_right_identity
+from .core import idempotents, is_left_identity, is_right_identity
 
 __all__ = [
     "ClassificationReport",
@@ -213,8 +213,7 @@ def pseudo_inverses(table, x):
 
 def _idempotents_commute(table):
     comp = table.comp
-    idem = [x for x in table.carrier if comp.get((x, x)) == x]
-    for e, f in product(idem, repeat=2):
+    for e, f in product(idempotents(table), repeat=2):
         if (e, f) in table.defined:
             if comp.get((f, e)) != comp[(e, f)]:
                 return False

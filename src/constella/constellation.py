@@ -134,9 +134,11 @@ class OrderedConstellation(_PlusStructure):
         checks (every pair inside the carrier, a partial order).
 
         Only for callers that have just proved ``order`` a partial order on
-        the carrier: the census builds its candidate orders that way, and
+        the carrier: the census builds its candidate orders that way,
         build_C takes natural_order's relation, which raises InvalidOrderError
-        when it is not one.  The plus map is still checked for shape.
+        when it is not one, and parse_structure checks every order line
+        against the carrier, closes them and rejects cycles.  The plus map
+        is still checked for shape.
         """
         t = cls.__new__(cls)
         _PlusStructure.__init__(t, table, plus)

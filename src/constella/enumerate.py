@@ -48,7 +48,6 @@ from .core import (
     _lr_violations,
     _s_violations,
     holds,
-    relabel,
 )
 
 __all__ = [
@@ -61,6 +60,7 @@ __all__ = [
     "enumerate_lr_semigroupoids",
     "enumerate_li_constellations",
     "are_isomorphic",
+    "canonical_form",
     "dedupe_up_to_iso",
 ]
 
@@ -419,39 +419,35 @@ def _candidate_orders(table, plus):
             yield order
 
 
-def _permutations(src, dst):
-    for image in permutations(dst):
-        yield dict(zip(src, image))
-
-
 def are_isomorphic(a, b):
-    """Permutation search respecting comp, plus, definedness (and order).
+    """(True, mapping) when a relabelling maps comp, plus, definedness (and
+    order) of a onto b, else (False, None); decided by canonical keys.  The
+    mapping is a's canonical relabelling followed by the inverse of b's."""
+    if type(a) is not type(b) or len(a.carrier) != len(b.carrier):
+        return False, None
+    key, to_key, _ = canonical_form(a)
+    other, from_key, _ = canonical_form(b)
+    if key != other:
+        return False, None
+    back = {i: y for y, i in from_key.items()}
+    return True, {x: back[i] for x, i in to_key.items()}
 
-    Returns (True, mapping) or (False, None).
+
+def canonical_form(structure):
+    """(key, relabelling, |Aut|) from one pass over the n! relabellings of
+    the carrier of structure, a PartialTable or a structure, by 0..n-1.
+
+    The key is the type with the least label-free encoding: two structures
+    have the same key exactly when they are isomorphic.  The relabelling
+    ({element: index}) is the first that reaches the key.  Those that reach
+    it are one coset p Aut(structure), so their count is |Aut|.
     """
-    if type(a) is not type(b):
-        return False, None
-    if len(a.carrier) != len(b.carrier):
-        return False, None
-    if len(a.carrier) > 8:
-        raise CapExceededError("isomorphism search capped at 8 elements")
-    for perm in _permutations(a.carrier, b.carrier):
-        if relabel(a, perm, b.carrier) == b:
-            return True, perm
-    return False, None
-
-
-def _canonical_key(structure):
-    """The least label-free encoding of the structure over all n!
-    relabellings of its carrier by 0..n-1, with its type: two structures
-    have the same key exactly when are_isomorphic finds a mapping."""
     carrier = structure.carrier
     if len(carrier) > 8:
         raise CapExceededError("isomorphism search capped at 8 elements")
-    comp = structure.table.comp.items()
-    plus = structure.plus.items()
-    order = (structure.order if isinstance(structure, OrderedConstellation)
-             else ())
+    comp = getattr(structure, "table", structure).comp.items()
+    plus = getattr(structure, "plus", {}).items()
+    order = getattr(structure, "order", ())
 
     def encoded(image):
         p = dict(zip(carrier, image))
@@ -461,8 +457,11 @@ def _canonical_key(structure):
             tuple(sorted((p[a], p[b]) for a, b in order)),
         )
 
-    relabellings = permutations(range(len(carrier)))
-    return type(structure), min(map(encoded, relabellings))
+    relabellings = list(permutations(range(len(carrier))))
+    codes = list(map(encoded, relabellings))
+    least = min(codes)
+    first = dict(zip(carrier, relabellings[codes.index(least)]))
+    return (type(structure), least), first, codes.count(least)
 
 
 def dedupe_up_to_iso(structures):
@@ -470,5 +469,5 @@ def dedupe_up_to_iso(structures):
     structure met of each class, in input order."""
     reps = {}
     for s in structures:
-        reps.setdefault(_canonical_key(s), s)
+        reps.setdefault(canonical_form(s)[0], s)
     return list(reps.values())

@@ -143,7 +143,7 @@ def parse_structure(text):
         raise ParseError("order is not a partial order: "
                          f"cycle through {a!r} and {b!r}")
     closed = frozenset((a, b) for a in carrier for b in above[a])
-    return OrderedConstellation(table, plus_map, closed)
+    return OrderedConstellation._trusted(table, plus_map, closed)
 
 
 def _reachable(pairs, carrier):

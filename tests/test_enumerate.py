@@ -20,6 +20,7 @@ from constella.core import (
     _s_violations,
     check_semigroupoid,
     holds,
+    relabel,
 )
 from constella.enumerate import (
     CapExceededError,
@@ -28,12 +29,12 @@ from constella.enumerate import (
     _tables,
     all_partial_orders,
     are_isomorphic,
+    canonical_form,
     carrier_labels,
     dedupe_up_to_iso,
     enumerate_li_constellations,
     enumerate_lr_semigroupoids,
     enumerate_semigroupoids,
-    relabel,
 )
 from constella.functor import build_C
 from constella.szendrei import expand_constellation
@@ -221,6 +222,9 @@ def test_isomorphic_to_itself_and_relabelings():
     swapped = relabel(s, {"0": "0", "e": "f", "f": "e"}, s.carrier)
     ok, perm = are_isomorphic(s, swapped)
     assert ok
+    # bare tables too, as relabel takes them
+    ok, perm = are_isomorphic(s.table, swapped.table)
+    assert ok and relabel(s.table, perm, s.carrier) == swapped.table
 
 
 def test_size_mismatch_is_a_fast_false():
@@ -235,6 +239,8 @@ def test_isomorphism_search_is_capped_at_eight():
     big = LeftRestrictionSemigroupoid(table, {x: x for x in labels})
     with pytest.raises(CapExceededError):
         are_isomorphic(big, big)
+    # a size mismatch is decided before the cap
+    assert are_isomorphic(big, fixtures.singleton()) == (False, None)
 
 
 def test_isomorphism_respects_plus():
@@ -249,10 +255,20 @@ def test_census_contains_relabeled_ex6_5():
     assert any(are_isomorphic(t, target)[0] for t in census)
 
 
+def _search_isomorphism(a, b):
+    """The reference search: the first relabelling of a's carrier onto b's
+    that maps a onto b, or None."""
+    for image in permutations(b.carrier):
+        mapping = dict(zip(a.carrier, image))
+        if relabel(a, mapping, b.carrier) == b:
+            return mapping
+    return None
+
+
 def _pairwise_dedupe(structures):
     reps = []
     for s in structures:
-        if not any(are_isomorphic(s, r)[0] for r in reps):
+        if not any(_search_isomorphism(s, r) for r in reps):
             reps.append(s)
     return reps
 
@@ -272,13 +288,44 @@ def _automorphisms(s):
                for image in permutations(s.carrier))
 
 
+def _small_censuses():
+    for census in (enumerate_lr_semigroupoids, enumerate_li_constellations):
+        for n in (1, 2, 3):
+            yield from census(n)
+
+
+def test_canonical_count_is_the_automorphism_count():
+    fixed = list(fixtures.all_fixtures().values())
+    structures = [*_small_censuses(), *fixed, *map(build_C, fixed)]
+    for s in structures:
+        assert canonical_form(s)[2] == _automorphisms(s)
+
+
+def test_canonical_relabelling_reaches_the_key():
+    for s in _small_censuses():
+        key, mapping, _ = canonical_form(s)
+        canonical = relabel(s, mapping, range(len(s.carrier)))
+        again, identity, _ = canonical_form(canonical)
+        assert again == key and identity == {i: i for i in canonical.carrier}
+
+
+def test_isomorphism_mapping_carries_a_onto_b():
+    # b runs over every relabelling of a, so a mapping composed the wrong
+    # way round (b's relabelling, then the inverse of a's) fails somewhere
+    for a in _small_censuses():
+        for image in permutations(a.carrier):
+            b = relabel(a, dict(zip(a.carrier, image)), a.carrier)
+            ok, mapping = are_isomorphic(a, b)
+            assert ok and relabel(a, mapping, b.carrier) == b
+
+
 @pytest.mark.parametrize("census", [
     enumerate_lr_semigroupoids, enumerate_li_constellations], ids=["lrs", "lic"])
 def test_orbit_stabilizer_sums_recount_the_census(census):
     # Each class representative s stands for n!/|Aut(s)| labelled structures.
     for n in (1, 2, 3):
         labelled = list(census(n))
-        orbits = [factorial(n) // _automorphisms(s)
+        orbits = [factorial(n) // canonical_form(s)[2]
                   for s in dedupe_up_to_iso(labelled)]
         assert sum(orbits) == len(labelled) == FROZEN_CENSUS_COUNTS[n]
 
