@@ -81,10 +81,9 @@ class InverseCheck:
 
 
 def _constellation_nd(t):
-    image = t.plus_image()
-    cores = t.corestrictions()
-    for x in t.carrier:
-        if not any(cores[x, e].has_candidates for e in image):
+    cores = t._index()
+    for i, x in enumerate(t.carrier):
+        if not any(cores.some[e][i] for e in cores.image):
             return False, (x,)
     return True, None
 
@@ -100,12 +99,13 @@ def _constellation_unitary(t):
     lc, witness = _constellation_lc(t)
     if not lc:
         return False, witness
-    cores = t.corestrictions()
+    cores = t._index()
     for _, top in t.components():
-        for x in t.carrier:
-            c = cores[x, top]
-            if c.has_candidates and c.value != x:
-                return False, (x, top)
+        e = cores.position[top]
+        some, tops = cores.some[e], cores.top[e]
+        for x in range(len(t.carrier)):
+            if some[x] and tops[x] != x:
+                return False, (t.carrier[x], top)
     return True, None
 
 
@@ -225,18 +225,13 @@ def detect_inverse_semigroupoid(table):
 
     The direct search must agree with (regular and idempotents commute);
     disagreement would mean one of the two checkers is wrong, so it raises.
+    Both read the one list of pseudo-inverses of each element.
     """
-    inverse = {}
-    ok = True
-    witness = None
-    for x in table.carrier:
-        inv = pseudo_inverses(table, x)
-        if len(inv) != 1:
-            ok = False
-            witness = (x, tuple(inv))
-            break
-        inverse[x] = inv[0]
-    regular = all(pseudo_inverses(table, x) for x in table.carrier)
+    found = [(x, pseudo_inverses(table, x)) for x in table.carrier]
+    witness = next(((x, tuple(inv)) for x, inv in found if len(inv) != 1),
+                   None)
+    ok = witness is None
+    regular = all(inv for _, inv in found)
     indirect = regular and _idempotents_commute(table)
     if ok != indirect:
         raise AssertionError(
@@ -245,7 +240,7 @@ def detect_inverse_semigroupoid(table):
         )
     if not ok:
         return InverseCheck(False, witness=witness)
-    return InverseCheck(True, inverse=inverse)
+    return InverseCheck(True, inverse={x: inv[0] for x, inv in found})
 
 
 def derive_plus_from_inverses(table, inverse):

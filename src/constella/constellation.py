@@ -6,10 +6,13 @@ with a uniqueness assertion.  Corestriction is the maximum of an explicit
 candidate set, so a missing maximum is a first-class diagnostic rather than
 an exception during enumeration filtering.
 
-Each constellation builds one corestriction index on first use: x|e for
-every x in T and e in T+, and the plus-components with their maxima.  The
-wo checks, pseudo-product, meets, build_G, the radiant checks and the
-classifiers all read it instead of rescanning.
+Each constellation builds one corestriction index on first use, coded by
+carrier index (coded._Index): for every x in T and e in T+, whether x|e
+has candidates and their maximum.  The wo checks, pseudo-product, meets,
+build_G, the classifiers and the radiant checks read it directly, and
+corestrictions() gives its labelled view.  The census builds the
+index of each candidate in index space and hands it to the constellation
+it yields.
 
 Each axiom family is one lazy violation generator: the reporting checkers
 collect it, and the census stops it at the first violation (core.holds).
@@ -17,14 +20,17 @@ collect it, and the census stops it at the first violation (core.holds).
 
 from itertools import chain, product
 
-from .core import (
-    Violation,
-    ValidationReport,
-    _PlusStructure,
-    _check_partial_order,
-    _scan_by_index,
-    _table_scan,
+from .coded import (
+    _coded,
+    _coded_plus,
+    _components,
+    _corestriction_index,
+    _defined_rows,
+    _order_rows,
+    _positions,
+    _value_rows,
 )
+from .core import _PlusStructure, _check_partial_order, _named_report
 
 __all__ = [
     "OrderedConstellation",
@@ -126,10 +132,10 @@ class OrderedConstellation(_PlusStructure):
         problem = _check_partial_order(order, table.carrier)
         if problem is not None:
             raise ValueError(f"order is not a partial order: {problem}")
-        self._keep_order(order)
+        self._keep_order(order, None)
 
     @classmethod
-    def _trusted(cls, table, plus, order):
+    def _trusted(cls, table, plus, order, cores=None):
         """The constellation the constructor would build, without its order
         checks (every pair inside the carrier, a partial order).
 
@@ -138,47 +144,51 @@ class OrderedConstellation(_PlusStructure):
         build_C takes natural_order's relation, which raises InvalidOrderError
         when it is not one, and parse_structure checks every order line
         against the carrier, closes them and rejects cycles.  The plus map
-        is still checked for shape.
+        is still checked for shape.  cores, when given, is the corestriction
+        index the census has already built for this structure.
         """
         t = cls.__new__(cls)
         _PlusStructure.__init__(t, table, plus)
-        t._keep_order(frozenset(order))
+        t._keep_order(frozenset(order), cores)
         return t
 
-    def _keep_order(self, order):
+    def _keep_order(self, order, cores):
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_cores", None)
+        object.__setattr__(self, "_cores", cores)
         object.__setattr__(self, "_components", None)
 
-    def corestrictions(self):
-        """The index {(x, e): x|e as a CorestrictionResult}, x in T, e in T+.
-
-        Built on first use from the down-sets, each taken once in carrier
-        order: the candidates for (x, e) are the y in the down-set of x with
-        ye defined, the tuple corestriction_candidates scans for.  Kept,
-        since the structure is immutable.
-        """
+    def _index(self, rows=None):
+        """The corestriction index (_Index), built on first use from rows,
+        the coded view _coded(self), and kept, since the structure is
+        immutable."""
         cores = self._cores
         if cores is None:
-            carrier, order, D = self.carrier, self.order, self.table.defined
-            below = [(x, [y for y in carrier if (y, x) in order])
-                     for x in carrier]
-            cores = {}
-            for e in self.plus_image():
-                for x, down in below:
-                    cores[x, e] = _corestriction_of(
-                        self, [y for y in down if (y, e) in D])
+            position, val, plus, le, _, down = rows or _coded(self)
+            cores = _corestriction_index(position, val, plus, le, down)
             object.__setattr__(self, "_cores", cores)
         return cores
+
+    def corestrictions(self):
+        """{(x, e): x|e as a CorestrictionResult} for x in T and e in T+: the
+        labelled view of the corestriction index, built on each call."""
+        cores = self._index()
+        carrier = self.carrier
+        return {(carrier[x], carrier[e]): _result(self, cores, x, e)
+                for e in cores.image for x in range(len(carrier))}
 
     def components(self):
         """The plus-components as (group, maximum) pairs, built on first use;
         the maximum is None when the component has none."""
         components = self._components
         if components is None:
+            position = _positions(self.carrier)
+            le = _order_rows(((position[a], position[b]) for a, b in self.order),
+                             len(position))[0]
+            image = sorted({position[e] for e in self.plus.values()})
+            name = self.carrier.__getitem__
             components = tuple(
-                (group, _maximum(self, group)) for group in plus_components(self)
-            )
+                (tuple(map(name, group)), None if top is None else name(top))
+                for group, top in _components(image, le))
             object.__setattr__(self, "_components", components)
         return components
 
@@ -204,6 +214,17 @@ class OrderedConstellation(_PlusStructure):
         return f"OrderedConstellation({list(self.carrier)!r})"
 
 
+def _result(t, cores, x, e):
+    """x|e at the indices x, e as a CorestrictionResult on t's elements."""
+    if not cores.some[e][x]:
+        return _EMPTY
+    m = cores.top[e][x]
+    if m is None:
+        return CorestrictionResult.no_maximum(
+            corestriction_candidates(t, t.carrier[x], t.carrier[e]))
+    return CorestrictionResult.of(t.carrier[m])
+
+
 def check_constellation(t):
     """Check c1-c4.
 
@@ -212,60 +233,73 @@ def check_constellation(t):
     c3: for e in T+: ex defined with ex = x iff e = x+.
     c4: for e in T+: xe defined implies xe = x.
     """
-    return ValidationReport(chain(
-        _scan_by_index(_table_scan(_c12_violations), t.table),
-        _c34_violations(t.table, t.plus),
+    position = _positions(t.carrier)
+    val = _value_rows(t.table, position)
+    return _named_report(t.carrier, chain(
+        _c12_violations(_defined_rows(val), val),
+        _c34_violations(val, _coded_plus(t, position)),
     ))
 
 
-def _c12_violations(carrier, D, comp, rows=None):
-    """c1 and c2 on a table whose defined pairs D are fixed.
+def _c12_violations(D, val, rows=None):
+    """c1 and c2 on a table coded by carrier index whose defined pairs are
+    fixed (D and val as for core._s_violations).  Yields (axiom, (x, y, z)).
 
-    comp may still lack the values of some pairs in D, as during the
+    val may still lack the values of some defined pairs, as during the
     census's table search: an instance is reported once the assigned values
     already break it, so on a complete table these are exactly the failing
     instances.  rows, an iterable of (x, y, zs), limits the instances to
-    (x, y, z) for z in zs; by default every (x, y, carrier) in carrier
+    (x, y, z) for z in zs; by default every (x, y, all indices) in index
     order.
     """
     if rows is None:
-        rows = product(carrier, carrier, (carrier,))
+        every = range(len(val))
+        rows = product(every, every, (every,))
     for x, y, zs in rows:
-        xy = comp.get((x, y))
-        xy_defined = (x, y) in D
+        vx, dx, vy, dy = val[x], D[x], val[y], D[y]
+        if not dx[y]:  # only c1 can fail, where x(yz) is defined
+            for z in zs:
+                yz = vy[z]
+                if yz is not None and dx[yz]:
+                    yield "c1", (x, y, z)
+            continue
+        xy = vx[y]
+        if xy is None:
+            vxy = dxy = None
+        else:
+            vxy, dxy = val[xy], D[xy]
         for z in zs:
-            yz = comp.get((y, z))
-            lhs = xy_defined and (yz is not None or (y, z) in D)
-            if yz is not None and lhs != ((x, yz) in D):
-                yield Violation("c1", (x, y, z))
+            yz = vy[z]
+            lhs = dy[z]
+            if yz is not None and lhs != dx[yz]:
+                yield "c1", (x, y, z)
             if not lhs:
                 continue
-            left = comp.get((xy, z))
-            right = comp.get((x, yz))
+            left = None if xy is None else vxy[z]
+            right = None if yz is None else vx[yz]
             if left is not None and right is not None:
                 if left != right:
-                    yield Violation("c2", (x, y, z))
-            elif (xy is not None and (xy, z) not in D) \
-                    or (yz is not None and (x, yz) not in D):
-                yield Violation("c2", (x, y, z))
+                    yield "c2", (x, y, z)
+            elif (xy is not None and not dxy[z]) \
+                    or (yz is not None and not dx[yz]):
+                yield "c2", (x, y, z)
 
 
-def _c34_violations(table, plus):
-    D = table.defined
-    comp = table.comp
-    plus_values = set(plus.values())
-    image = [e for e in table.carrier if e in plus_values]
-
-    for e in image:
-        for x in table.carrier:
-            acts = comp.get((e, x)) == x
-            if acts != (e == plus[x]):
-                yield Violation("c3", (e, x))
+def _c34_violations(val, plus):
+    """c3 and c4 on a table and plus map coded by carrier index."""
+    every = range(len(val))
+    image = sorted(set(plus))
 
     for e in image:
-        for x in table.carrier:
-            if (x, e) in D and comp[(x, e)] != x:
-                yield Violation("c4", (x, e))
+        for x, ex in enumerate(val[e]):
+            if (ex == x) != (e == plus[x]):
+                yield "c3", (e, x)
+
+    for e in image:
+        for x in every:
+            xe = val[x][e]
+            if xe is not None and xe != x:
+                yield "c4", (x, e)
 
 
 def corestriction_candidates(t, x, e):
@@ -275,36 +309,16 @@ def corestriction_candidates(t, x, e):
     )
 
 
-def _maximum(t, elements):
-    order = t.order
-    for m in elements:
-        for y in elements:
-            if (y, m) not in order:
-                break
-        else:
-            return m
-    return None
-
-
-def _corestriction_of(t, cands):
-    """x|e from its candidates, in carrier order."""
-    if not cands:
-        return _EMPTY
-    m = _maximum(t, cands)
-    if m is None:
-        return CorestrictionResult.no_maximum(cands)
-    return CorestrictionResult.of(m)
-
-
 def corestriction(t, x, e):
     """Corestriction x|e: the maximum element below x composable with e.
 
     Read from the corestriction index, which covers x in T and e in T+.
     """
-    result = t.corestrictions().get((x, e))
-    if result is None:
+    cores = t._index()
+    i, k = cores.position.get(x), cores.position.get(e)
+    if i is None or k not in cores.image:
         raise NotApplicableError(f"{e!r} is not in T+ or {x!r} is not in T")
-    return result
+    return _result(t, cores, i, k)
 
 
 def restriction(t, e, x):
@@ -323,33 +337,16 @@ def restriction(t, e, x):
 
 def pseudo_product(t, a, b):
     """(a|b+) b, or None when the corestriction or the pair is missing."""
-    c = t.corestrictions()[a, t.plus[b]]
-    if not c.exists:
+    cores = t._index()
+    m = cores.top[cores.position[t.plus[b]]][cores.position[a]]
+    if m is None:
         return None
-    return t.table.comp.get((c.value, b))
+    return t.table.comp.get((t.carrier[m], b))
 
 
 def plus_components(t):
     """Partition of T+ under the zig-zag closure of the order."""
-    image = list(t.plus_image())
-    parent = {e: e for e in image}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in t.order:
-        if a != b and a in parent and b in parent:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-    # groups are inserted in the carrier order of their first elements
-    groups = {}
-    for e in image:
-        groups.setdefault(find(e), []).append(e)
-    return tuple(map(tuple, groups.values()))
+    return tuple(group for group, _ in t.components())
 
 
 def meet(t, e, f):
@@ -359,7 +356,9 @@ def meet(t, e, f):
         raise NotApplicableError("meet is defined on T+ only")
     if not any(e in group and f in group for group, _ in t.components()):
         return None
-    return t.corestrictions()[e, f].value
+    cores = t._index()
+    m = cores.top[cores.position[f]][cores.position[e]]
+    return None if m is None else t.carrier[m]
 
 
 def check_locally_inductive(t):
@@ -381,121 +380,116 @@ def check_locally_inductive(t):
     are tested on the candidate sets, so each axiom is decided
     independently of wo4.
     """
-    return ValidationReport(_scan_by_index(
-        lambda c: chain(_order_violations(c.table, c.plus, c.order),
-                        _index_violations(c)),
-        t))
+    rows = _coded(t)
+    _, val, plus, le, up, down = rows
+    return _named_report(t.carrier, chain(
+        _order_violations(val, plus, le, up),
+        _index_violations(val, plus, le, down, t._index(rows))))
 
 
-def _order_violations(table, plus, order):
-    """wo1-wo3, which read no corestriction, so the census can test them
-    before it builds the constellation.  wo1 and wo2 run over the order
-    pairs in carrier order."""
-    D = table.defined
-    comp = table.comp
-    carrier = table.carrier
-    up = [(x, [y for y in carrier if (x, y) in order]) for x in carrier]
+def _order_violations(val, plus, le, up):
+    """wo1-wo3 on a constellation coded by carrier index (val, plus and the
+    order as le and up-lists), which read no corestriction, so the census
+    can test them before it builds the index.  wo1 and wo2 run over the
+    order pairs in index order."""
+    every = range(len(val))
 
-    # wo1 visits only the x2 with (x, x2) and the y2 with (y, y2) defined;
-    # each row is built when its x is reached, for the census's early exits
-    for x, ys in up:
-        row = [(x2, comp[x, x2], y2s) for x2, y2s in up if (x, x2) in D]
-        for y in ys:
-            for x2, xx2, y2s in row:
+    # wo1 visits only the x2 with xx2 and the y2 with yy2 defined; each row
+    # is built when its x is reached, for the census's early exits
+    for x in every:
+        row = [(x2, le[xx2], up[x2]) for x2, xx2 in enumerate(val[x])
+               if xx2 is not None]
+        for y in up[x]:
+            vy = val[y]
+            for x2, above, y2s in row:
                 for y2 in y2s:
-                    yy2 = comp.get((y, y2))
-                    if yy2 is not None and (xx2, yy2) not in order:
-                        yield Violation("wo1", (x, y, x2, y2))
+                    yy2 = vy[y2]
+                    if yy2 is not None and not above[yy2]:
+                        yield "wo1", (x, y, x2, y2)
 
-    for x, ys in up:
-        for y in ys:
-            if (plus[x], plus[y]) not in order:
-                yield Violation("wo2", (x, y))
+    for x in every:
+        above = le[plus[x]]
+        for y in up[x]:
+            if not above[plus[y]]:
+                yield "wo2", (x, y)
 
     # wo3 counts, for each x and e, the y <= x with y+ = e
-    restrictions = {}
-    for y, xs in up:
+    restrictions = [[0] * len(val) for _ in every]
+    for y in every:
         e = plus[y]
-        for x in xs:
-            restrictions[x, e] = restrictions.get((x, e), 0) + 1
-    for e in filter(set(plus.values()).__contains__, carrier):
-        for x in carrier:
-            if (e, plus[x]) in order and restrictions.get((x, e)) != 1:
-                yield Violation("wo3", (e, x))
+        for x in up[y]:
+            restrictions[x][e] += 1
+    for e in sorted(set(plus)):
+        for x in every:
+            if le[e][plus[x]] and restrictions[x][e] != 1:
+                yield "wo3", (e, x)
 
 
-def _index_violations(t):
-    """wo4-wo9, read from the constellation's corestriction index: x|e has
-    candidates when its entry is not the shared empty result.  wo5 and wo7
-    run over the defined pairs in carrier order."""
-    comp = t.table.comp
-    order = t.order
-    carrier = t.carrier
-    plus = t.plus
-    image = t.plus_image()
-    cores = t.corestrictions()
+def _index_violations(val, plus, le, down, cores):
+    """wo4-wo9 on a coded constellation, read from its corestriction index
+    cores (coded._Index).  wo5 and wo7 run over the defined pairs in index
+    order."""
+    every = range(len(val))
+    image = cores.image
+    top, some = cores.top, cores.some
 
-    for x in carrier:
+    for x in every:
         for e in image:
-            if cores[x, e].kind == "no_maximum":
-                yield Violation("wo4", (x, e))
+            if some[e][x] and top[e][x] is None:
+                yield "wo4", (x, e)
 
-    defined = [(x, y, comp[x, y]) for x, y in product(carrier, repeat=2)
-               if (x, y) in comp]
+    defined = [(x, y, xy) for x in every for y, xy in enumerate(val[x])
+               if xy is not None]
 
     for e in image:
+        some_e = some[e]
         for x, y, xy in defined:
-            if (cores[xy, e] is _EMPTY) != (cores[y, e] is _EMPTY):
-                yield Violation("wo5", (x, y, e))
+            if some_e[xy] != some_e[y]:
+                yield "wo5", (x, y, e)
 
     for e in image:
         for f in image:
-            if (f, e) not in order:
-                continue
-            for x in carrier:
-                if (cores[x, e] is _EMPTY) != (cores[x, f] is _EMPTY):
-                    yield Violation("wo6", (x, e, f))
+            if le[f][e] and some[e] != some[f]:
+                some_e, some_f = some[e], some[f]
+                for x in every:
+                    if some_e[x] != some_f[x]:
+                        yield "wo6", (x, e, f)
 
     for e in image:
+        some_e, top_e = some[e], top[e]
         for x, y, xy in defined:
-            core = cores[xy, e]
-            if core is _EMPTY:
+            if not some_e[xy]:
                 continue
-            m_xy, m_y = core.value, cores[y, e].value
-            m_x = None if m_y is None else cores[x, plus[m_y]].value
+            m_xy, m_y = top_e[xy], top_e[y]
+            m_x = None if m_y is None else top[plus[m_y]][x]
             if m_xy is None or m_x is None or plus[m_xy] != plus[m_x]:
-                yield Violation("wo7", (x, y, e))
+                yield "wo7", (x, y, e)
 
-    # wo8 reads the restrictions of each f in T+: the y <= f by their plus
-    restrictions = {}
-    for f in image:
-        for y in carrier:
-            if (y, f) in order:
-                restrictions.setdefault((f, plus[y]), []).append(y)
+    # wo8 compares the restriction of f to e, the y <= f with y+ = e, with
+    # e|f
     for e in image:
         for f in image:
-            if (e, f) not in order:
+            if not le[e][f]:
                 continue
-            found = restrictions.get((f, e), ())
-            m = cores[e, f].value
+            found = [y for y in down[f] if plus[y] == e]
+            m = top[f][e]
             if len(found) != 1 or m is None or found[0] != m:
-                yield Violation("wo8", (e, f))
+                yield "wo8", (e, f)
 
     # wo9: the corestriction restricted to T+ is exactly the partial meet
     # of the local semilattice: within a component it is the meet (a lower
     # bound in T+ of e and f above all their common lower bounds in T+),
     # across components it must not exist.
-    component = {
-        e: i for i, (group, _) in enumerate(t.components()) for e in group
-    }
-    lower = {e: {g for g in image if (g, e) in order} for e in image}
+    component = {e: i for i, (group, _) in enumerate(_components(image, le))
+                 for e in group}
+    lower = {e: {g for g in image if le[g][e]} for e in image}
     for e in image:
         for f in image:
             if component[e] != component[f]:
-                if cores[e, f] is not _EMPTY:
-                    yield Violation("wo9", (e, f))
+                if some[f][e]:
+                    yield "wo9", (e, f)
                 continue
-            m = cores[e, f].value
+            m = top[f][e]
             common = lower[e] & lower[f]
             if m not in common or not common <= lower[m]:
-                yield Violation("wo9", (e, f))
+                yield "wo9", (e, f)

@@ -3,9 +3,15 @@
 Structures live on a small finite carrier.  Composition is a partial map
 stored explicitly: a pair is either in the ``defined`` set with a value, or
 it is absent.  Nothing here ever encodes "undefined" as a carrier element.
+
+Every axiom checker runs its generator on the structure coded by carrier
+index, built once per check, and names the witnesses back through the
+carrier (_named_report).
 """
 
 from itertools import product
+
+from .coded import _coded_plus, _defined_rows, _positions, _value_rows
 
 __all__ = [
     "PartialTable",
@@ -218,88 +224,71 @@ def check_semigroupoid(t):
     A triggered triple must have all four pairs defined with
     (sx)r = s(xr).  Every failing (clause, triple) is reported.
     """
-    return ValidationReport(_scan_by_index(_table_scan(_s_violations), t))
+    val = _value_rows(t, _positions(t.carrier))
+    return _named_report(t.carrier, _s_violations(_defined_rows(val), val))
 
 
-def _table_scan(violations):
-    """A scan for _scan_by_index from a table generator such as
-    _s_violations, which reads carrier, defined pairs and comp."""
-    return lambda t: violations(t.carrier, t.defined, t.comp)
+def _named_report(carrier, found):
+    """The report of the coded violations found, each (axiom, witness) with
+    a witness of carrier indices, named back through the carrier.
 
-
-def relabel(x, mapping, carrier):
-    """Copy of x, a PartialTable or a structure (a table with plus, and an
-    order for a constellation), with its elements renamed by mapping onto
-    the given carrier."""
-    table = x if isinstance(x, PartialTable) else x.table
-    renamed = PartialTable(carrier, {
-        (mapping[a], mapping[b]): mapping[c] for (a, b), c in table.comp.items()})
-    if x is table:
-        return renamed
-    parts = (renamed, {mapping[a]: mapping[b] for a, b in x.plus.items()})
-    if hasattr(x, "order"):
-        parts += (frozenset((mapping[a], mapping[b]) for a, b in x.order),)
-    return type(x)(*parts)
-
-
-_HASHED_IN_C = frozenset((str, int))
-
-
-def _scan_by_index(scan, x):
-    """The violations scan(x) yields, run on x relabelled by carrier index,
-    with each witness named back through the carrier.
-
-    x is a PartialTable or a structure.  Its relabelled copy has carrier
-    range(n) and int keys, which hash in C where elements such as Szendrei
-    pairs hash in Python.  The relabelling is exact: the axioms compare
-    elements only for equality, definedness and order and name no label
-    (see enumerate._tables), so the index bijection maps the failing
-    instances onto the failing instances.  Every scan runs over elements
-    and pairs in carrier order, and the index map is monotone in carrier
-    order, so the coded scan yields them in the direct scan's sequence.
-
-    When every element is a str or an int, which hash in C already, the
-    scan runs on x itself.
+    Every axiom generator runs on its structure coded by carrier index
+    (see coded), which is exact.  The axioms compare elements only for equality,
+    definedness, plus and order, and name no label (see
+    enumerate._tables), so the index bijection maps the failing instances
+    of the coded structure onto those of the structure itself.  Every
+    generator visits elements and pairs in index order, which is carrier
+    order, so the named witnesses come in the sequence a scan of the
+    labelled structure in carrier order gives.
     """
-    carrier = x.carrier
-    if _HASHED_IN_C.issuperset(map(type, carrier)):
-        return scan(x)
-    n = len(carrier)
-    coded = relabel(x, dict(zip(carrier, range(n))), range(n))
-    return (Violation(v.axiom, tuple(carrier[i] for i in v.witness))
-            for v in scan(coded))
+    return ValidationReport(
+        Violation(axiom, map(carrier.__getitem__, witness))
+        for axiom, witness in found)
 
 
-def _s_violations(carrier, D, comp, rows=None):
-    """s1-s3 on a table whose defined pairs D are fixed.
+def _s_violations(D, val, rows=None):
+    """s1-s3 on a table coded by carrier index whose defined pairs are fixed:
+    D[a][b] is true when ab is defined, and val[a][b] is its value, None
+    while it is unassigned.  Yields (axiom, (s, x, r)).
 
-    comp may still lack the values of some pairs in D, as during the
+    val may still lack the values of some defined pairs, as during the
     census's table search: a triple is reported once the assigned values
     already break it, so on a complete table these are exactly the failing
     triples.  rows, an iterable of (s, x, rs), limits the triples to
-    (s, x, r) for r in rs; by default every (s, x, carrier) in carrier
+    (s, x, r) for r in rs; by default every (s, x, all indices) in index
     order.
     """
     if rows is None:
-        rows = product(carrier, carrier, (carrier,))
+        every = range(len(val))
+        rows = product(every, every, (every,))
     for s, x, rs in rows:
-        sx = comp.get((s, x))
-        sx_defined = (s, x) in D
+        vs, ds, vx, dx = val[s], D[s], val[x], D[x]
+        if not ds[x]:  # only s3 can trigger
+            for r in rs:
+                xr = vx[r]
+                if xr is not None and ds[xr]:
+                    yield "s3", (s, x, r)
+            continue
+        sx = vs[x]
+        if sx is None:
+            vsx = dsx = None
+        else:
+            vsx, dsx = val[sx], D[sx]
         for r in rs:
-            xr = comp.get((x, r))
-            trig1 = sx_defined and (xr is not None or (x, r) in D)
-            trig2 = sx is not None and (sx, r) in D
-            trig3 = xr is not None and (s, xr) in D
+            xr = vx[r]
+            trig1 = dx[r]
+            trig2 = sx is not None and dsx[r]
+            trig3 = xr is not None and ds[xr]
             if not (trig1 or trig2 or trig3):
                 continue
-            if trig1 and (sx is None or (sx, r) in D) \
-                    and (xr is None or (s, xr) in D):
-                left, right = comp.get((sx, r)), comp.get((s, xr))
+            if trig1 and (sx is None or dsx[r]) and (xr is None or ds[xr]):
+                left = None if sx is None else vsx[r]
+                right = None if xr is None else vs[xr]
                 if left is None or right is None or left == right:
                     continue
             for axiom, trig in (("s1", trig1), ("s2", trig2), ("s3", trig3)):
                 if trig:
-                    yield Violation(axiom, (s, x, r))
+                    yield axiom, (s, x, r)
 
 
 def check_left_restriction(t, plus):
@@ -310,9 +299,10 @@ def check_left_restriction(t, plus):
     lr3: e t defined implies e t+ defined and (e t)+ = e t+  (e in S+).
     lr4: s t defined implies s t+ and (s t)+ s defined with s t+ = (s t)+ s.
     """
-    return ValidationReport(_scan_by_index(
-        lambda s: _lr_violations(s.table, s.plus),
-        LeftRestrictionSemigroupoid(t, plus)))
+    s = LeftRestrictionSemigroupoid(t, plus)
+    position = _positions(t.carrier)
+    return _named_report(t.carrier, _lr_violations(
+        _value_rows(t, position), _coded_plus(s, position)))
 
 
 def holds(violations):
@@ -320,40 +310,38 @@ def holds(violations):
     return next(iter(violations), None) is None
 
 
-def _lr_violations(t, plus):
-    """lr1-lr4, each over its elements and pairs in carrier order."""
-    D = t.defined
-    comp = t.comp
-    plus_values = set(plus.values())
-    image = [e for e in t.carrier if e in plus_values]
+def _lr_violations(val, plus):
+    """lr1-lr4 on a table and plus map coded by carrier index, each over its
+    elements and pairs in index order."""
+    every = range(len(val))
+    image = sorted(set(plus))
 
-    for s in t.carrier:
-        e = plus[s]
-        if comp.get((e, s)) != s:
-            yield Violation("lr1", (s,))
-
-    for e, f in product(image, repeat=2):
-        d1, d2 = (e, f) in D, (f, e) in D
-        if d1 != d2 or (d1 and comp[(e, f)] != comp[(f, e)]):
-            yield Violation("lr2", (e, f))
+    for s in every:
+        if val[plus[s]][s] != s:
+            yield "lr1", (s,)
 
     for e in image:
-        for s in t.carrier:
-            if (e, s) not in D:
-                continue
-            lhs = plus[comp[(e, s)]]
-            rhs = comp.get((e, plus[s]))
-            if rhs is None or lhs != rhs:
-                yield Violation("lr3", (e, s))
+        for f in image:
+            ef, fe = val[e][f], val[f][e]
+            if ef != fe:
+                yield "lr2", (e, f)
 
-    for s, x in product(t.carrier, repeat=2):
-        st = comp.get((s, x))
-        if st is None:
-            continue
-        lhs = comp.get((s, plus[x]))
-        rhs = comp.get((plus[st], s))
-        if lhs is None or rhs is None or lhs != rhs:
-            yield Violation("lr4", (s, x))
+    for e in image:
+        for s, es in enumerate(val[e]):
+            if es is None:
+                continue
+            rhs = val[e][plus[s]]
+            if rhs is None or plus[es] != rhs:
+                yield "lr3", (e, s)
+
+    for s in every:
+        for x, st in enumerate(val[s]):
+            if st is None:
+                continue
+            lhs = val[s][plus[x]]
+            rhs = val[plus[st]][s]
+            if lhs is None or rhs is None or lhs != rhs:
+                yield "lr4", (s, x)
 
 
 def _check_partial_order(pairs, carrier):

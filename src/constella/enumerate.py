@@ -21,7 +21,9 @@ rebuilt by relabelling a kept one and put back in search order (_tables).
 Each table is paired only with plus maps that draw x+ from {e : ex = x},
 a condition both lr1 and c3 impose.  The remaining axioms are decided by
 the same generators the reporting checkers collect, stopped at the first
-violation.
+violation.  The whole search runs on carrier indices, on the coded tables,
+plus maps and orders those generators read; labels are attached only to
+the tables and structures it yields.
 
 On the constellation side the order is built from the (table, plus) pair
 rather than searched among all partial orders (_candidate_orders).  The
@@ -34,6 +36,7 @@ are chosen among; wo1-wo9 still decide every candidate.
 import os
 from itertools import chain, permutations, product
 
+from .coded import _corestriction_index, _order_rows, _positions
 from .constellation import (
     OrderedConstellation,
     _c12_violations,
@@ -110,9 +113,19 @@ def _check_cap(n, cap):
 
 
 def _tables(carrier, violations):
-    """All tables on the carrier on which the generator violations(carrier,
-    D, comp, rows) yields nothing, in mask order and then in carrier order
-    of the values, each comp keyed in mask order.
+    """The tables of _table_codes(carrier, violations) as PartialTables,
+    each comp keyed in mask order."""
+    for keys, _, values in _table_codes(carrier, violations):
+        yield _labelled_table(carrier, keys, values)
+
+
+def _table_codes(carrier, violations):
+    """All tables on the carrier on which the coded generator
+    violations(D, val, rows) yields nothing, in mask order and then in
+    carrier order of the values, each as (keys, defined, values): its
+    defined pairs in mask order, as pairs of elements (one list shared by
+    the tables of a mask) and as pairs of carrier indices, and the bytes of
+    the indices of their values.
 
     Relabelling the carrier by a permutation h maps the valid tables on a
     defined-pair mask m one to one onto those on h(m): s1-s3, c1/c2 and
@@ -143,6 +156,7 @@ def _tables(carrier, violations):
     pairs = sorted(product(carrier, repeat=2))
     position = {pair: q for q, pair in enumerate(pairs)}
     index = {x: i for i, x in enumerate(carrier)}
+    coded = [(index[a], index[b]) for a, b in pairs]
     perms = list(permutations(range(n)))  # perms[0] is the identity
     number = {p: k for k, p in enumerate(perms)}
     inverse = [number[tuple(sorted(range(n), key=p.__getitem__))]
@@ -183,7 +197,7 @@ def _tables(carrier, violations):
             images = [image(h, mask) for h in range(len(perms))]
             stabilizer = [g for g, m in enumerate(images) if m == mask]
             kept = _least_tables(
-                carrier, violations, [pairs[q] for q in qs],
+                n, violations, [coded[q] for q in qs],
                 [(perms[g], slots(g, qs, qs)) for g in stabilizer[1:]])
             for h, m in enumerate(images):
                 if orbit_of[m] == _UNSEEN:
@@ -198,10 +212,24 @@ def _tables(carrier, violations):
             hg = number[tuple(perms[k][i] for i in perms[g])]
             p, src = perms[hg], slots(hg, rep_qs, qs)
             tables.update(bytes(p[t[s]] for s in src) for t in kept)
-        defined = [pairs[q] for q in qs]
+        keys = [pairs[q] for q in qs]
+        defined = [coded[q] for q in qs]
         for t in sorted(tables):
-            yield PartialTable(
-                carrier, {key: carrier[v] for key, v in zip(defined, t)})
+            yield keys, defined, t
+
+
+def _labelled_table(carrier, keys, values):
+    """The PartialTable of a coded table, keyed in the order of keys."""
+    return PartialTable(
+        carrier, {key: carrier[v] for key, v in zip(keys, values)})
+
+
+def _table_rows(n, defined, values):
+    """A coded table as rows: val[a][b] is the value of (a, b), else None."""
+    val = [[None] * n for _ in range(n)]
+    for (a, b), v in zip(defined, values):
+        val[a][b] = v
+    return val
 
 
 def _relabelled_bytes(bit_images):
@@ -213,16 +241,17 @@ def _relabelled_bytes(bit_images):
     return table
 
 
-def _least_tables(carrier, violations, defined, symmetries):
-    """The valid tables on the defined pairs, as bytes of value indices,
-    that no symmetry (g, slots) maps to a lex-smaller table; g(t) has
-    g[t[slots[j]]] at position j."""
-    choices = _value_choices(carrier, defined)
+def _least_tables(n, violations, defined, symmetries):
+    """The valid tables on the defined pairs (carrier indices), as bytes of
+    value indices, that no symmetry (g, slots) maps to a lex-smaller table;
+    g(t) has g[t[slots[j]]] at position j."""
+    choices = _value_choices(n, defined)
     if choices is None:
         return []
-    index = {x: i for i, x in enumerate(carrier)}
-    D = frozenset(defined)
-    comp = {}
+    D = [[False] * n for _ in range(n)]
+    for a, b in defined:
+        D[a][b] = True
+    val = [[None] * n for _ in range(n)]
     values = []
     kept = []
 
@@ -244,39 +273,38 @@ def _least_tables(carrier, violations, defined, symmetries):
         if i == len(defined):
             kept.append(bytes(values))
             return
-        key = a, b = defined[i]
+        a, b = defined[i]
         for value in choices[i]:
-            values.append(index[value])
+            values.append(value)
             if not smaller_image():
-                comp[key] = value
-                rows = _reading_rows(carrier, comp, a, b)
-                if holds(violations(carrier, D, comp, rows)):
+                val[a][b] = value
+                if holds(violations(D, val, _reading_rows(val, a, b))):
                     assign(i + 1)
             values.pop()
-        comp.pop(key, None)
+        val[a][b] = None
 
     assign(0)
     return kept
 
 
-def _value_choices(carrier, defined):
-    """For each defined pair (a, b), in order, the values v in carrier order
-    with Ldom(v) = Ldom(a) and Rdom(b) a subset of Rdom(v); None when some
-    pair has no such value.
+def _value_choices(n, defined):
+    """For each defined pair (a, b) of carrier indices, in order, the values
+    v in index order with Ldom(v) = Ldom(a) and Rdom(b) a subset of
+    Rdom(v); None when some pair has no such value.
 
     Ldom(v) = {s : sv defined} and Rdom(v) = {r : vr defined}.  Both
     s1-s3 and c1/c2 impose this on v = ab: an s with sa defined has s(ab)
     defined and conversely (s1, s3; c1), and an r with br defined has
     (ab)r defined (s1; c2).
     """
-    ldom = {v: set() for v in carrier}
-    rdom = {v: set() for v in carrier}
+    ldom = [set() for _ in range(n)]
+    rdom = [set() for _ in range(n)]
     for s, x in defined:
         ldom[x].add(s)
         rdom[s].add(x)
     choices = []
     for a, b in defined:
-        values = [v for v in carrier
+        values = [v for v in range(n)
                   if ldom[v] == ldom[a] and rdom[b] <= rdom[v]]
         if not values:
             return None
@@ -284,34 +312,40 @@ def _value_choices(carrier, defined):
     return choices
 
 
-def _reading_rows(carrier, comp, a, b):
-    """The rows (s, x, rs) of the instances (s, x, r) whose verdict reads
-    comp[(a, b)]: as sx in (a, b, r), as xr in (s, a, b), as (sx)r in
-    (s, x, b) with sx = a, and as s(xr) in (a, x, r) with xr = b."""
-    yield a, b, carrier
+def _reading_rows(val, a, b):
+    """The rows (s, x, rs) of the instances (s, x, r) of a coded table whose
+    verdict reads val[a][b]: as sx in (a, b, r), as xr in (s, a, b), as
+    (sx)r in (s, x, b) with sx = a, and as s(xr) in (a, x, r) with
+    xr = b."""
+    every = range(len(val))
+    yield a, b, every
     only_b = (b,)
-    for s in carrier:
+    for s in every:
         yield s, a, only_b
-    for (s, x), value in comp.items():
-        if value == a:
-            yield s, x, only_b
-    for x in carrier:
-        rs = [r for r in carrier if comp.get((x, r)) == b]
+    for s, row in enumerate(val):
+        for x, value in enumerate(row):
+            if value == a:
+                yield s, x, only_b
+    for x, row in enumerate(val):
+        rs = [r for r, value in enumerate(row) if value == b]
         if rs:
             yield a, x, rs
 
 
-def _plus_maps(table):
-    """Plus maps with every x+ drawn from {e : ex = x}, in the lexicographic
-    order of the full n^n product.
+def _plus_maps(val):
+    """Plus maps of a coded table, as tuples of carrier indices, with every
+    x+ drawn from {e : ex = x}, in the lexicographic order of the full n^n
+    product.
 
     ex = x is necessary for e = x+: it is lr1 on the semigroupoid side and
     one direction of c3 on the constellation side.
     """
-    comp, carrier = table.comp, table.carrier
-    choices = [[e for e in carrier if comp.get((e, x)) == x] for x in carrier]
-    for images in product(*choices):
-        yield dict(zip(carrier, images))
+    every = range(len(val))
+    return product(*([e for e in every if val[e][x] == x] for x in every))
+
+
+def _labelled_plus(carrier, plus):
+    return {x: carrier[e] for x, e in zip(carrier, plus)}
 
 
 def enumerate_semigroupoids(n, cap=None):
@@ -321,13 +355,21 @@ def enumerate_semigroupoids(n, cap=None):
 
 
 def enumerate_lr_semigroupoids(n, cap=None):
-    """All left restriction semigroupoids on n labels."""
+    """All left restriction semigroupoids on n labels.
+
+    The search runs on carrier indices; labels are attached only to the
+    tables and structures it yields."""
     _check_cap(n, cap)
     carrier = carrier_labels(n)
-    for table in _tables(carrier, _s_violations):
-        for plus in _plus_maps(table):
-            if holds(_lr_violations(table, plus)):
-                yield LeftRestrictionSemigroupoid(table, plus)
+    for keys, defined, values in _table_codes(carrier, _s_violations):
+        val = _table_rows(n, defined, values)
+        table = None
+        for plus in _plus_maps(val):
+            if holds(_lr_violations(val, plus)):
+                if table is None:
+                    table = _labelled_table(carrier, keys, values)
+                yield LeftRestrictionSemigroupoid(
+                    table, _labelled_plus(carrier, plus))
 
 
 def all_partial_orders(carrier):
@@ -359,25 +401,36 @@ def enumerate_li_constellations(n, cap=None):
     """
     _check_cap(n, cap)
     carrier = carrier_labels(n)
-    for table in _tables(carrier, _c12_violations):
-        for plus in _plus_maps(table):
-            if not holds(_c34_violations(table, plus)):
+    position = _positions(carrier)
+    pair = [[(x, y) for y in carrier] for x in carrier]
+    for keys, defined, values in _table_codes(carrier, _c12_violations):
+        val = _table_rows(n, defined, values)
+        table = None
+        for plus in _plus_maps(val):
+            if not holds(_c34_violations(val, plus)):
                 continue
-            for order in _candidate_orders(table, plus):
-                if not holds(_order_violations(table, plus, order)):
+            for order in _candidate_orders(val, plus):
+                le, up, down = _order_rows(order, n)
+                if not holds(_order_violations(val, plus, le, up)):
                     continue
-                t = OrderedConstellation._trusted(table, plus, order)
-                if holds(_index_violations(t)):
-                    yield t
+                cores = _corestriction_index(position, val, plus, le, down)
+                if not holds(_index_violations(val, plus, le, down, cores)):
+                    continue
+                if table is None:
+                    table = _labelled_table(carrier, keys, values)
+                yield OrderedConstellation._trusted(
+                    table, _labelled_plus(carrier, plus),
+                    (pair[a][b] for a, b in order), cores)
 
 
-def _candidate_orders(table, plus):
-    """The partial orders on the carrier of the form every locally inductive
-    order of (table, plus) has, given that c1-c4 hold: nothing when some
-    e in T+ has e+ != e; otherwise e <= f iff ef is defined, for e, f in T+,
-    and for each x outside T+ the down-set {x} | {y_e : e < x+ in T+}, one
-    y_e with y_e+ = e drawn for each such e.  The choices run in carrier
-    order, the last x and e fastest.
+def _candidate_orders(val, plus):
+    """The partial orders, as sets of pairs of carrier indices, of the form
+    every locally inductive order of a coded (table, plus) pair has, given
+    that c1-c4 hold: nothing when some e in T+ has e+ != e; otherwise
+    e <= f iff ef is defined, for e, f in T+, and for each x outside T+ the
+    down-set {x} | {y_e : e < x+ in T+}, one y_e with y_e+ = e drawn for
+    each such e.  The choices run in carrier order, the last x and e
+    fastest.
 
     Why every valid order has this form.  Write x|e for the corestriction
     (the maximum of the y <= x with ye defined), e, f for elements of T+.
@@ -398,24 +451,23 @@ def _candidate_orders(table, plus):
       y = y+: the down-set of x lies inside T+, where the order is fixed
       above.
     """
-    carrier = table.carrier
-    image = set(plus.values())
+    n = len(val)
+    image = set(plus)
     if any(plus[e] != e for e in image):
         return
-    D = table.defined
-    fibre = {e: [y for y in carrier if plus[y] == e] for e in image}
-    fixed = [(e, f) for e, f in D if e in image and f in image]
+    fibre = {e: [y for y in range(n) if plus[y] == e] for e in image}
+    fixed = [(e, f) for e in image for f in image if val[e][f] is not None]
     slots = []  # one list of pairs (y_e, x) per x outside T+ and e < x+
-    for x in carrier:
+    for x in range(n):
         if x in image:
             continue
         fixed.append((x, x))
         top = plus[x]
-        slots += [[(y, x) for y in fibre[e]] for e in carrier
-                  if e in image and e != top and (e, top) in D]
+        slots += [[(y, x) for y in fibre[e]] for e in range(n)
+                  if e in image and e != top and val[e][top] is not None]
     for chosen in product(*slots):
         order = frozenset(chain(fixed, chosen))
-        if _check_partial_order(order, carrier) is None:
+        if _check_partial_order(order, range(n)) is None:
             yield order
 
 

@@ -42,13 +42,16 @@ def build_G(t):
 
     x ⊗ y = (x|y+) y, defined whenever the corestriction x|y+ exists.
     """
-    cores = t.corestrictions()
-    comp = {}
-    for x, y in product(t.carrier, repeat=2):
-        c = cores[x, t.plus[y]]
-        if c.exists:
-            comp[(x, y)] = t.table.comp[(c.value, y)]
-    return LeftRestrictionSemigroupoid(PartialTable(t.carrier, comp), t.plus)
+    cores = t._index()
+    carrier, comp = t.carrier, t.table.comp
+    plus = [cores.position[t.plus[y]] for y in carrier]
+    pseudo = {}
+    for i, x in enumerate(carrier):
+        for y, e in zip(carrier, plus):
+            m = cores.top[e][i]
+            if m is not None:
+                pseudo[x, y] = comp[carrier[m], y]
+    return LeftRestrictionSemigroupoid(PartialTable(carrier, pseudo), t.plus)
 
 
 def roundtrip_check(x):

@@ -127,17 +127,21 @@ def _order_pairs(axiom, T, L):
 
 
 def _corestrictions(axiom, T, L):
-    """ir4/ip4: f(e) is in L+ and f(x|e) = f(x)|f(e), whenever x|e exists."""
-    source, cores = T.corestrictions(), L.corestrictions()
+    """ir4/ip4: f(e) is in L+ and f(x|e) = f(x)|f(e), whenever x|e exists.
+    Both sides are read from the corestriction indexes, whose rows cover
+    the e in T+ and L+ only."""
+    source, target = T._index(), L._index()
+    position, top = target.position, target.top
 
     def test(f, x, e, c):
-        core = cores.get((f[x], f[e]))
-        return core is not None and core.value == f[c]
-    for e in T.plus_image():
-        for x in T.carrier:
-            c = source[x, e]
-            if c.exists:
-                yield axiom, (x, e), (x, e, c.value), test
+        row = top[position[f[e]]]
+        m = None if row is None else row[position[f[x]]]
+        return m is not None and L.carrier[m] == f[c]
+    for e in source.image:
+        for x, m in zip(T.carrier, source.top[e]):
+            if m is not None:
+                pair = x, T.carrier[e]
+                yield axiom, pair, (*pair, T.carrier[m]), test
 
 
 def _multiplicative(comp):
@@ -188,7 +192,7 @@ def _ir_instances(T, L):
 
 
 def _ip_instances(T, L):
-    cores = L.corestrictions()
+    cores = L._index()
     pseudo = {(a, b): pseudo_product(L, a, b) for a in L.carrier for b in L.carrier}
     l_plus_image = set(L.plus.values())
 
@@ -197,8 +201,10 @@ def _ip_instances(T, L):
 
     def ip5(f, e, x, r):
         # f(e)|f(x)+ = f(e|x)+, with f(e) in L+
-        return f[e] in l_plus_image \
-            and cores[f[e], L.plus[f[x]]].value == L.plus[f[r]]
+        if f[e] not in l_plus_image:
+            return False
+        m = cores.top[cores.position[L.plus[f[x]]]][cores.position[f[e]]]
+        return m is not None and L.carrier[m] == L.plus[f[r]]
 
     def plus_image(f, e):
         return f[e] in l_plus_image

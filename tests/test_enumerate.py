@@ -11,8 +11,6 @@ from constella.constellation import (
     OrderedConstellation,
     _c12_violations,
     _c34_violations,
-    _index_violations,
-    _order_violations,
 )
 from constella.core import (
     PartialTable,
@@ -20,7 +18,6 @@ from constella.core import (
     _s_violations,
     check_semigroupoid,
     holds,
-    relabel,
 )
 from constella.enumerate import (
     CapExceededError,
@@ -39,6 +36,15 @@ from constella.enumerate import (
 from constella.functor import build_C
 from constella.szendrei import expand_constellation
 from constella.theorems import FROZEN_CENSUS_COUNTS
+from test_exactness import (
+    _c12_reference,
+    _c34_reference,
+    _index_reference,
+    _order_reference,
+    _s_reference,
+    coded_table,
+    relabel,
+)
 
 LRS_4_DIGEST = \
     "d5a5a7e3431a8e2a605c52c92d2b218574d8df8c74515c1f2a27b21374b5a041"
@@ -81,19 +87,21 @@ def test_each_table_and_plus_has_at_most_one_valid_order(census_4):
 
 
 def _reference_li_constellations(n):
-    # every partial order of the carrier for each (table, plus) pair
-    # passing c1-c4, filtered by wo1-wo3 and then wo4-wo9
+    # every plus map and every partial order of the carrier for each table
+    # passing c1/c2, filtered by the reference scans of c3/c4, wo1-wo3 and
+    # then wo4-wo9
     carrier = carrier_labels(n)
     orders = all_partial_orders(carrier)
     for table in _tables(carrier, _c12_violations):
-        for plus in _plus_maps(table):
-            if not holds(_c34_violations(table, plus)):
+        for images in product(carrier, repeat=n):
+            plus = dict(zip(carrier, images))
+            if not holds(_c34_reference(table, plus)):
                 continue
             for order in orders:
-                if not holds(_order_violations(table, plus, order)):
+                if not holds(_order_reference(table, plus, order)):
                     continue
                 t = OrderedConstellation(table, plus, order)
-                if holds(_index_violations(t)):
+                if holds(_index_reference(t)):
                     yield t
 
 
@@ -350,21 +358,23 @@ def test_dedupe_up_to_iso():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("table_violations, survives", [
-    (_s_violations, lambda table, plus: holds(_lr_violations(table, plus))),
-    (_c12_violations, lambda table, plus: holds(_c34_violations(table, plus))),
+    (_s_violations, lambda val, plus: holds(_lr_violations(val, plus))),
+    (_c12_violations, lambda val, plus: holds(_c34_violations(val, plus))),
 ], ids=["lrs", "lic"])
 def test_pruned_plus_maps_keep_every_survivor_in_order(n, table_violations, survives):
     # reference: the full n^n product of plus maps, filtered by the checker
     carrier = carrier_labels(n)
     for table in _tables(carrier, table_violations):
-        full = (dict(zip(carrier, images)) for images in product(carrier, repeat=n))
-        assert [p for p in _plus_maps(table) if survives(table, p)] == \
-            [p for p in full if survives(table, p)]
+        _, val = coded_table(table)
+        full = product(range(n), repeat=n)
+        assert [p for p in _plus_maps(val) if survives(val, p)] == \
+            [p for p in full if survives(val, p)]
 
 
 def _reference_tables(carrier, violations):
     # the unpruned search: every carrier value for every defined pair, and
-    # the full scan after every assigned value
+    # the full reference scan after every assigned value
+    violations = REFERENCES[violations]
     pairs = sorted(product(carrier, repeat=2))
     for mask in range(1 << len(pairs)):
         defined = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
@@ -386,6 +396,7 @@ def _reference_tables(carrier, violations):
 
 TABLE_GENERATORS = pytest.mark.parametrize(
     "violations", [_s_violations, _c12_violations], ids=["s", "c12"])
+REFERENCES = {_s_violations: _s_reference, _c12_violations: _c12_reference}
 
 
 @TABLE_GENERATORS
@@ -427,10 +438,13 @@ def test_orbit_least_masks_keep_exactly_the_lex_least_tables(n, violations):
     carrier = carrier_labels(n)
     accepted = {}
 
-    def recording(carrier, D, comp, rows):
-        found = list(violations(carrier, D, comp, rows))
-        if not found and len(comp) == len(D):
-            accepted.setdefault(D, []).append(dict(comp))
+    def recording(D, val, rows):
+        found = list(violations(D, val, rows))
+        defined = frozenset((carrier[a], carrier[b]) for a, b in _cells(D))
+        comp = {(carrier[a], carrier[b]): carrier[val[a][b]]
+                for a, b in _cells(D) if val[a][b] is not None}
+        if not found and len(comp) == len(defined):
+            accepted.setdefault(defined, []).append(comp)
         return iter(found)
 
     assert list(_tables(carrier, recording)) == \
@@ -486,38 +500,45 @@ def _tables_and_mutants():
                     yield PartialTable(carrier, {**comp, key: value})
 
 
+def _cells(D):
+    """The defined pairs (a, b) of boolean rows D, in index order."""
+    return [(a, b) for a, row in enumerate(D) for b, d in enumerate(row) if d]
+
+
 @TABLE_GENERATORS
 def test_listed_rows_match_the_default_scan(violations):
     for t in _tables_and_mutants():
-        rows = [(s, x, t.carrier) for s in t.carrier for x in t.carrier]
-        assert list(violations(t.carrier, t.defined, t.comp, rows)) == \
-            list(violations(t.carrier, t.defined, t.comp))
+        D, val = coded_table(t)
+        every = range(len(val))
+        rows = [(s, x, every) for s in every for x in every]
+        assert list(violations(D, val, rows)) == list(violations(D, val))
 
 
 @TABLE_GENERATORS
 def test_reading_rows_cover_exactly_the_instances_reading_the_pair(violations):
     for t in _tables_and_mutants():
-        comp = t.comp
-        full = list(violations(t.carrier, t.defined, comp))
-        for a, b in t.defined:
-            rows = _reading_rows(t.carrier, comp, a, b)
-            reading = {v for v in full if (a, b) in _keys_read(comp, v.witness)}
-            assert set(violations(t.carrier, t.defined, comp, rows)) == reading
+        D, val = coded_table(t)
+        full = list(violations(D, val))
+        for a, b in _cells(D):
+            rows = _reading_rows(val, a, b)
+            reading = {v for v in full if (a, b) in _keys_read(val, v[1])}
+            assert set(violations(D, val, rows)) == reading
 
 
-def _keys_read(comp, instance):
+def _keys_read(val, instance):
     s, x, r = instance
-    return {(s, x), (x, r), (comp.get((s, x)), r), (s, comp.get((x, r)))}
+    return {(s, x), (x, r), (val[s][x], r), (s, val[x][r])}
 
 
 @TABLE_GENERATORS
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_empty_table_has_no_violations(n, violations):
-    carrier = carrier_labels(n)
-    pairs = sorted(product(carrier, repeat=2))
+    pairs = list(product(range(n), repeat=2))
     for mask in range(1 << len(pairs)):
-        D = frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-        assert holds(violations(carrier, D, {}))
+        D = [[False] * n for _ in range(n)]
+        for i, (a, b) in enumerate(pairs):
+            D[a][b] = bool(mask >> i & 1)
+        assert holds(violations(D, [[None] * n for _ in range(n)]))
 
 
 def test_table_search_is_capped_at_five_elements():

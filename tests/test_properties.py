@@ -1,6 +1,6 @@
 """Property-based checks over random tables and census samples."""
 
-from itertools import product
+from itertools import islice, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,15 +12,16 @@ from constella.constellation import (
     check_constellation,
     corestriction,
 )
+from constella.coded import _coded_plus, _positions
 from constella.core import (
     PartialTable,
     _lr_violations,
+    _named_report,
     check_left_restriction,
     check_semigroupoid,
     holds,
     natural_order,
     natural_order_by_witness,
-    relabel,
 )
 from constella.enumerate import (
     are_isomorphic,
@@ -30,6 +31,7 @@ from constella.enumerate import (
 from constella.functor import build_C, build_G
 from constella.io import parse_structure, serialize_structure
 from constella.szendrei import expand_constellation
+from test_exactness import coded_table, relabel
 
 LABELS = ("a", "b", "c")
 
@@ -68,13 +70,21 @@ def test_semigroupoid_report_is_consistent(t):
            [ (v.axiom, v.witness) for v in again.violations ]
 
 
+def _first(carrier, violations):
+    """The first coded violation, named through the carrier, or None."""
+    named = _named_report(carrier, islice(violations, 1)).violations
+    return named[0] if named else None
+
+
 @given(tables_with_plus())
 def test_lr_report_agrees_with_fast_predicate(tp):
     # the census's fail-fast use of the generator against the full report
     t, plus = tp
     report = check_left_restriction(t, plus)
-    assert holds(_lr_violations(t, plus)) == report.valid
-    assert next(_lr_violations(t, plus), None) == \
+    _, val = coded_table(t)
+    coded = [_positions(t.carrier)[plus[x]] for x in t.carrier]
+    assert holds(_lr_violations(val, coded)) == report.valid
+    assert _first(t.carrier, _lr_violations(val, coded)) == \
         (report.violations[0] if report.violations else None)
 
 
@@ -110,8 +120,11 @@ def test_constellation_c34_fast_predicate_agrees(t, data):
     candidate = OrderedConstellation(t.table, plus, t.order)
     c34 = [v for v in check_constellation(candidate).violations
            if v.axiom in {"c3", "c4"}]
-    assert holds(_c34_violations(t.table, plus)) == (not c34)
-    assert next(_c34_violations(t.table, plus), None) == (c34[0] if c34 else None)
+    _, val = coded_table(t.table)
+    coded = _coded_plus(candidate, _positions(t.carrier))
+    assert holds(_c34_violations(val, coded)) == (not c34)
+    assert _first(t.carrier, _c34_violations(val, coded)) == \
+        (c34[0] if c34 else None)
 
 
 @given(st.sampled_from(CENSUS_LRS), st.permutations(LABELS[:2]))
