@@ -180,13 +180,13 @@ def detect_category(table):
     domain = {}
     codomain = {}
     for x in table.carrier:
-        d = [e for e in identities if (x, e) in table.defined]
-        r = [e for e in identities if (e, x) in table.defined]
+        d = [e for e in identities if (x, e) in table.comp]
+        r = [e for e in identities if (e, x) in table.comp]
         if len(d) != 1 or len(r) != 1:
             return CategoryCheck(False)
         domain[x], codomain[x] = d[0], r[0]
     for x, y in product(table.carrier, repeat=2):
-        if ((x, y) in table.defined) != (domain[x] == codomain[y]):
+        if ((x, y) in table.comp) != (domain[x] == codomain[y]):
             return CategoryCheck(False)
     return CategoryCheck(True, domain=domain, codomain=codomain)
 
@@ -194,7 +194,7 @@ def detect_category(table):
 def detect_semigroup(table):
     """A semigroup is a table with every pair defined."""
     n = len(table.carrier)
-    return len(table.defined) == n * n
+    return len(table.comp) == n * n
 
 
 def pseudo_inverses(table, x):
@@ -214,7 +214,7 @@ def pseudo_inverses(table, x):
 def _idempotents_commute(table):
     comp = table.comp
     for e, f in product(idempotents(table), repeat=2):
-        if (e, f) in table.defined:
+        if (e, f) in table.comp:
             if comp.get((f, e)) != comp[(e, f)]:
                 return False
     return True
@@ -256,7 +256,7 @@ def derive_plus_from_inverses(table, inverse):
 
 def _semigroupoid_nd(s):
     for x in s.carrier:
-        if not any((x, w) in s.table.defined for w in s.carrier):
+        if not any((x, w) in s.table.comp for w in s.carrier):
             return False, (x,)
     return True, None
 
@@ -266,7 +266,7 @@ def _semigroupoid_lc(s):
     for x in s.carrier:
         if not any(
             e in image and is_left_identity(s.table, e)
-            and (e, x) in s.table.defined
+            and (e, x) in s.table.comp
             for e in s.carrier
         ):
             return False, (x,)
@@ -276,7 +276,7 @@ def _semigroupoid_lc(s):
 def _semigroupoid_unitary(s):
     identities = _identities(s.table)
     for x in s.carrier:
-        if not any((e, x) in s.table.defined for e in identities):
+        if not any((e, x) in s.table.comp for e in identities):
             return False, (x,)
     return True, None
 

@@ -215,11 +215,13 @@ def cmd_enumerate(args):
         if args.kind == "lrs"
         else enumerate_li_constellations
     )
-    structures = list(gen(args.size))
+    # a stream; the generators check the cap on their first next
+    structures = gen(args.size)
     if args.up_to_iso:
         structures = dedupe_up_to_iso(structures)
     if args.count_only:
-        counts = {"kind": args.kind, "size": args.size, "count": len(structures)}
+        count = sum(1 for _ in structures)
+        counts = {"kind": args.kind, "size": args.size, "count": count}
         if args.up_to_iso:
             counts["up_to_iso"] = True
         sys.stdout.write(render_report(valid=True, counts=counts))

@@ -33,9 +33,9 @@ def _defined_rows(val):
     return [[v is not None for v in row] for row in val]
 
 
-def _coded_plus(s, position):
-    """The plus map of s as a list of carrier indices, in carrier order."""
-    return [position[s.plus[x]] for x in s.carrier]
+def _coded_plus(carrier, plus, position):
+    """The plus map as a list of carrier indices, in carrier order."""
+    return [position[plus[x]] for x in carrier]
 
 
 def _coded(t):
@@ -45,7 +45,8 @@ def _coded(t):
     them, and the order as _order_rows gives it."""
     position = _positions(t.carrier)
     order = ((position[a], position[b]) for a, b in t.order)
-    return (position, _value_rows(t.table, position), _coded_plus(t, position),
+    return (position, _value_rows(t.table, position),
+            _coded_plus(t.carrier, t.plus, position),
             *_order_rows(order, len(position)))
 
 

@@ -10,9 +10,7 @@ Each constellation builds one corestriction index on first use, coded by
 carrier index (coded._Index): for every x in T and e in T+, whether x|e
 has candidates and their maximum.  The wo checks, pseudo-product, meets,
 build_G, the classifiers and the radiant checks read it directly, and
-corestrictions() gives its labelled view.  The census builds the
-index of each candidate in index space and hands it to the constellation
-it yields.
+corestrictions() gives its labelled view.
 
 Each axiom family is one lazy violation generator: the reporting checkers
 collect it, and the census stops it at the first violation (core.holds).
@@ -132,10 +130,10 @@ class OrderedConstellation(_PlusStructure):
         problem = _check_partial_order(order, table.carrier)
         if problem is not None:
             raise ValueError(f"order is not a partial order: {problem}")
-        self._keep_order(order, None)
+        self._keep_order(order)
 
     @classmethod
-    def _trusted(cls, table, plus, order, cores=None):
+    def _trusted(cls, table, plus, order):
         """The constellation the constructor would build, without its order
         checks (every pair inside the carrier, a partial order).
 
@@ -144,17 +142,15 @@ class OrderedConstellation(_PlusStructure):
         build_C takes natural_order's relation, which raises InvalidOrderError
         when it is not one, and parse_structure checks every order line
         against the carrier, closes them and rejects cycles.  The plus map
-        is still checked for shape.  cores, when given, is the corestriction
-        index the census has already built for this structure.
-        """
+        is still checked for shape."""
         t = cls.__new__(cls)
         _PlusStructure.__init__(t, table, plus)
-        t._keep_order(frozenset(order), cores)
+        t._keep_order(frozenset(order))
         return t
 
-    def _keep_order(self, order, cores):
+    def _keep_order(self, order):
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_cores", cores)
+        object.__setattr__(self, "_cores", None)
         object.__setattr__(self, "_components", None)
 
     def _index(self, rows=None):
@@ -237,7 +233,7 @@ def check_constellation(t):
     val = _value_rows(t.table, position)
     return _named_report(t.carrier, chain(
         _c12_violations(_defined_rows(val), val),
-        _c34_violations(val, _coded_plus(t, position)),
+        _c34_violations(val, _coded_plus(t.carrier, t.plus, position)),
     ))
 
 
@@ -305,7 +301,7 @@ def _c34_violations(val, plus):
 def corestriction_candidates(t, x, e):
     """The set { y : y <= x and ye is defined }, in carrier order."""
     return tuple(
-        y for y in t.carrier if (y, x) in t.order and (y, e) in t.table.defined
+        y for y in t.carrier if (y, x) in t.order and (y, e) in t.table.comp
     )
 
 

@@ -1,7 +1,7 @@
 """Finite partial composition tables and the left restriction axioms.
 
 Structures live on a small finite carrier.  Composition is a partial map
-stored explicitly: a pair is either in the ``defined`` set with a value, or
+stored explicitly: a pair is either a key of ``comp`` with its value, or
 it is absent.  Nothing here ever encodes "undefined" as a carrier element.
 
 Every axiom checker runs its generator on the structure coded by carrier
@@ -35,10 +35,6 @@ class InvalidOrderError(Exception):
     """The derived relation is not a partial order (checker bug upstream)."""
 
 
-def _freeze(witness):
-    return tuple(witness)
-
-
 class Violation:
     """One failed axiom instance: axiom id plus the witnessing tuple."""
 
@@ -46,7 +42,7 @@ class Violation:
 
     def __init__(self, axiom, witness):
         self.axiom = axiom
-        self.witness = _freeze(witness)
+        self.witness = tuple(witness)
 
     def __eq__(self, other):
         return (
@@ -89,12 +85,12 @@ class ValidationReport:
 class PartialTable:
     """A carrier together with a partial binary operation.
 
-    ``carrier`` is an ordered tuple of distinct element ids, ``comp`` maps
-    exactly the defined pairs to carrier elements.  Instances are treated as
-    immutable; equality and hash are literal (same carrier, same table).
+    ``carrier`` is an ordered tuple of distinct element ids; ``comp`` maps
+    exactly the defined pairs, stored nowhere else, to carrier elements.
+    Immutable; equality and hash are literal (same carrier, same table).
     """
 
-    __slots__ = ("carrier", "comp", "defined", "_hash")
+    __slots__ = ("carrier", "comp", "_hash")
 
     def __init__(self, carrier, comp):
         carrier = tuple(carrier)
@@ -109,7 +105,6 @@ class PartialTable:
                 raise ValueError(f"comp entry {(a, b, c)!r} leaves the carrier")
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "comp", comp)
-        object.__setattr__(self, "defined", frozenset(comp))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -119,8 +114,13 @@ class PartialTable:
         """Value of a*b, or None when the pair is undefined."""
         return self.comp.get((a, b))
 
+    @property
+    def defined(self):
+        """The defined pairs, as a frozenset built from comp."""
+        return frozenset(self.comp)
+
     def is_defined(self, a, b):
-        return (a, b) in self.defined
+        return (a, b) in self.comp
 
     def __eq__(self, other):
         return (
@@ -150,12 +150,7 @@ class _PlusStructure:
     __slots__ = ("table", "plus", "_hash")
 
     def __init__(self, table, plus):
-        plus = dict(plus)
-        members = set(table.carrier)
-        if set(plus) != members:
-            raise ValueError("plus must be total on the carrier")
-        if not set(plus.values()) <= members:
-            raise ValueError("plus image leaves the carrier")
+        plus = _plus_map(table.carrier, plus)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "_hash", None)
@@ -171,6 +166,17 @@ class _PlusStructure:
         """S^+, in carrier order."""
         image = set(self.plus.values())
         return tuple(filter(image.__contains__, self.carrier))
+
+
+def _plus_map(carrier, plus):
+    """plus as a dict, checked total on the carrier with image inside it."""
+    plus = dict(plus)
+    members = set(carrier)
+    if set(plus) != members:
+        raise ValueError("plus must be total on the carrier")
+    if not set(plus.values()) <= members:
+        raise ValueError("plus image leaves the carrier")
+    return plus
 
 
 class LeftRestrictionSemigroupoid(_PlusStructure):
@@ -299,10 +305,10 @@ def check_left_restriction(t, plus):
     lr3: e t defined implies e t+ defined and (e t)+ = e t+  (e in S+).
     lr4: s t defined implies s t+ and (s t)+ s defined with s t+ = (s t)+ s.
     """
-    s = LeftRestrictionSemigroupoid(t, plus)
+    plus = _plus_map(t.carrier, plus)
     position = _positions(t.carrier)
     return _named_report(t.carrier, _lr_violations(
-        _value_rows(t, position), _coded_plus(s, position)))
+        _value_rows(t, position), _coded_plus(t.carrier, plus, position)))
 
 
 def holds(violations):
@@ -406,13 +412,13 @@ def idempotents(t):
 def is_left_identity(t, x):
     if t.comp.get((x, x)) != x:
         return False
-    return all(t.comp[(x, s)] == s for s in t.carrier if (x, s) in t.defined)
+    return all(t.comp[(x, s)] == s for s in t.carrier if (x, s) in t.comp)
 
 
 def is_right_identity(t, x):
     if t.comp.get((x, x)) != x:
         return False
-    return all(t.comp[(s, x)] == s for s in t.carrier if (s, x) in t.defined)
+    return all(t.comp[(s, x)] == s for s in t.carrier if (s, x) in t.comp)
 
 
 def identity_kind(t, x):

@@ -420,7 +420,7 @@ def enumerate_li_constellations(n, cap=None):
                     table = _labelled_table(carrier, keys, values)
                 yield OrderedConstellation._trusted(
                     table, _labelled_plus(carrier, plus),
-                    (pair[a][b] for a, b in order), cores)
+                    (pair[a][b] for a, b in order))
 
 
 def _candidate_orders(val, plus):

@@ -60,7 +60,7 @@ def roundtrip_check(x):
         back = build_G(build_C(x))
         fields = [
             ("carrier", x.carrier, back.carrier),
-            ("defined", x.table.defined, back.table.defined),
+            ("defined", x.table.comp.keys(), back.table.comp.keys()),
             ("comp", x.table.comp, back.table.comp),
             ("plus", x.plus, back.plus),
         ]
@@ -68,7 +68,7 @@ def roundtrip_check(x):
         back = build_C(build_G(x))
         fields = [
             ("carrier", x.carrier, back.carrier),
-            ("defined", x.table.defined, back.table.defined),
+            ("defined", x.table.comp.keys(), back.table.comp.keys()),
             ("comp", x.table.comp, back.table.comp),
             ("plus", x.plus, back.plus),
             ("order", x.order, back.order),

@@ -446,6 +446,22 @@ def _sample_tables():
     yield from (x.table for x in _ex6_7_expansions())
 
 
+def test_defined_is_the_set_of_comp_keys():
+    # comp is the one stored form of the defined pairs; defined reads it
+    count = 0
+    for table in _sample_tables():
+        defined = table.defined
+        assert isinstance(defined, frozenset)
+        assert defined == frozenset(table.comp)
+        assert {defined: table}[frozenset(table.comp)] is table
+        for a, b in product(table.carrier, repeat=2):
+            assert table.is_defined(a, b) == ((a, b) in defined)
+        with pytest.raises(AttributeError):
+            table.defined = frozenset()
+        count += 1
+    assert count > 300
+
+
 def test_every_carrier_type_reports_the_reference_sequence():
     # One path for every carrier: str labels, ints in an order unlike the
     # carrier's, 1-tuples and Szendrei pairs, each on valid structures and
