@@ -3,11 +3,18 @@
 Semigroupoid-side and constellation-side classifiers are computed from
 their own definitions; the agreement between the two sides is a theorem
 that the test-suite checks, never an implementation shortcut.
+
+Each classifier codes its structure by carrier index once per call
+(coded.py) and computes each derived fact from that view once: the left
+and right identity flags, the pseudo-inverse lists, the order rows and the
+plus-components.  Witnesses are named back through the carrier.  The
+public detectors code the table they are given and run the same cores.
 """
 
-from itertools import product
+from operator import eq
 
-from .core import idempotents, is_left_identity, is_right_identity
+from .coded import _coded, _coded_plus, _components, _positions, _value_rows
+from .core import _coded_structure
 
 __all__ = [
     "ClassificationReport",
@@ -80,94 +87,130 @@ class InverseCheck:
         return f"InverseCheck({self.ok})"
 
 
-def _constellation_nd(t):
-    cores = t._index()
-    for i, x in enumerate(t.carrier):
-        if not any(cores.some[e][i] for e in cores.image):
-            return False, (x,)
-    return True, None
+def _witness(witnesses, name, witness):
+    """True when witness is None, else False with witness kept under name."""
+    if witness is None:
+        return True
+    witnesses[name] = witness
+    return False
 
 
-def _constellation_lc(t):
-    for group, top in t.components():
-        if top is None:
-            return False, (group[0],)
-    return True, None
+def _first(carrier, elements):
+    """(x,) for the first index x of elements, named, or None."""
+    x = next(iter(elements), None)
+    return None if x is None else (carrier[x],)
 
 
-def _constellation_unitary(t):
-    lc, witness = _constellation_lc(t)
-    if not lc:
-        return False, witness
-    cores = t._index()
-    for _, top in t.components():
-        e = cores.position[top]
-        some, tops = cores.some[e], cores.top[e]
-        for x in range(len(t.carrier)):
-            if some[x] and tops[x] != x:
-                return False, (t.carrier[x], top)
-    return True, None
+def _right_inverse_check(carrier, inverse):
+    """The InverseCheck of inverse[x], the first right inverse of x or
+    None, by index."""
+    missing = _first(carrier, (x for x, w in enumerate(inverse) if w is None))
+    if missing is not None:
+        return InverseCheck(False, witness=missing)
+    return InverseCheck(True, inverse={
+        x: carrier[w] for x, w in zip(carrier, inverse)})
 
 
-def _meet_semilattice(t):
+def _meet_semilattice(image, le, components):
     """Is all of (T+, <=) one meet-semilattice (single component, meets)."""
-    if len(t.components()) != 1:
+    if len(components) != 1:
         return False
-    image = t.plus_image()
-    for e, f in product(image, repeat=2):
-        lower = [g for g in image if (g, e) in t.order and (g, f) in t.order]
-        if not any(all((z, m) in t.order for z in lower) for m in lower):
-            return False
+    lower = {e: {g for g in image if le[g][e]} for e in image}
+    for e in image:
+        for f in image:
+            common = lower[e] & lower[f]
+            if not any(common <= lower[m] for m in common):
+                return False
     return True
 
 
 def has_right_inverses(t):
     """Every x composes with some w in the constellation to give x+."""
-    comp = t.table.comp
-    inverse = {}
-    for x in t.carrier:
-        w = next(
-            (w for w in t.carrier if comp.get((x, w)) == t.plus[x]), None
-        )
-        if w is None:
-            return InverseCheck(False, witness=(x,))
-        inverse[x] = w
-    return InverseCheck(True, inverse=inverse)
+    position = _positions(t.carrier)
+    val = _value_rows(t.table, position)
+    plus = _coded_plus(t.carrier, t.plus, position)
+    return _right_inverse_check(t.carrier, _constellation_inverses(val, plus))
+
+
+def _constellation_inverses(val, plus):
+    """For each x of a coded constellation, the first w with xw = x+."""
+    return [row.index(e) if e in row else None for row, e in zip(val, plus)]
 
 
 def classify_constellation(t):
     """All section-level predicates of an ordered constellation."""
+    carrier = t.carrier
+    rows = _coded(t)
+    _, val, plus, le, _, _ = rows
+    cores = t._index(rows)
+    image, some, top = cores.image, cores.some, cores.top
+    components = _components(image, le)
+    every = range(len(carrier))
     witnesses = {}
-    nd, w = _constellation_nd(t)
-    if w:
-        witnesses["nd"] = w
-    lc, w = _constellation_lc(t)
-    if w:
-        witnesses["lc"] = w
-    unitary, w = _constellation_unitary(t)
-    if w:
-        witnesses["unitary"] = w
-    semilattice = _meet_semilattice(t)
-    right_inv = has_right_inverses(t)
-    if not right_inv.ok:
-        witnesses["has_right_inverses"] = right_inv.witness
+    nd = _witness(witnesses, "nd", _first(carrier, (
+        x for x in every if not any(some[e][x] for e in image))))
+    lc = _witness(witnesses, "lc", next(
+        ((carrier[group[0]],) for group, m in components if m is None), None))
+    unitary = _witness(witnesses, "unitary", witnesses.get("lc") or next((
+        (carrier[x], carrier[m]) for _, m in components for x in every
+        if some[m][x] and top[m][x] != x), None))
+    right_inv = _right_inverse_check(
+        carrier, _constellation_inverses(val, plus))
+    _witness(witnesses, "has_right_inverses", right_inv.witness)
     return ClassificationReport(
         nd=nd,
         lc=lc,
         unitary=unitary,
         is_category=nd and unitary,
-        is_semigroup=nd and semilattice,
+        is_semigroup=nd and _meet_semilattice(image, le, components),
         is_inverse_semigroupoid=right_inv.ok,
         has_right_inverses=right_inv.ok,
         witnesses=witnesses,
     )
 
 
-def _identities(table):
-    return [
-        x for x in table.carrier
-        if is_left_identity(table, x) and is_right_identity(table, x)
-    ]
+def _coded_table(table):
+    """The table coded by carrier index, as coded._value_rows gives it."""
+    return _value_rows(table, _positions(table.carrier))
+
+
+def _identity_flags(val):
+    """(left, right) for a coded table: left[x] when xx = x and xs = s
+    wherever xs is defined, right[x] when xx = x and sx = s wherever sx is
+    defined."""
+    every = range(len(val))
+
+    def identity(x, line):  # every entry of the line is s at s, or None
+        return line[x] == x and \
+            sum(map(eq, line, every)) + line.count(None) == len(line)
+
+    return ([identity(x, row) for x, row in enumerate(val)],
+            [identity(x, column) for x, column in enumerate(zip(*val))])
+
+
+def _identities(val):
+    """The two-sided identities of a coded table, in index order."""
+    left, right = _identity_flags(val)
+    return [x for x in range(len(val)) if left[x] and right[x]]
+
+
+def _category(val, identities):
+    """(domain, codomain) as index lists when each x composes on each side
+    with exactly one of the identities and xy is defined exactly when the
+    domain of x is the codomain of y, else None."""
+    domain, codomain = [], []
+    for x, row in enumerate(val):
+        d = [e for e in identities if row[e] is not None]
+        r = [e for e in identities if val[e][x] is not None]
+        if len(d) != 1 or len(r) != 1:
+            return None
+        domain.append(d[0])
+        codomain.append(r[0])
+    for x, row in enumerate(val):
+        for y, xy in enumerate(row):
+            if (xy is not None) != (domain[x] == codomain[y]):
+                return None
+    return domain, codomain
 
 
 def detect_category(table):
@@ -176,18 +219,13 @@ def detect_category(table):
     Returns the unique identity acting on each side of every element when
     both exist everywhere.
     """
-    identities = _identities(table)
-    domain = {}
-    codomain = {}
-    for x in table.carrier:
-        d = [e for e in identities if (x, e) in table.comp]
-        r = [e for e in identities if (e, x) in table.comp]
-        if len(d) != 1 or len(r) != 1:
-            return CategoryCheck(False)
-        domain[x], codomain[x] = d[0], r[0]
-    for x, y in product(table.carrier, repeat=2):
-        if ((x, y) in table.comp) != (domain[x] == codomain[y]):
-            return CategoryCheck(False)
+    val = _coded_table(table)
+    found = _category(val, _identities(val))
+    if found is None:
+        return CategoryCheck(False)
+    carrier = table.carrier
+    domain, codomain = (dict(zip(carrier, map(carrier.__getitem__, side)))
+                        for side in found)
     return CategoryCheck(True, domain=domain, codomain=codomain)
 
 
@@ -199,25 +237,28 @@ def detect_semigroup(table):
 
 def pseudo_inverses(table, x):
     """All w with xwx = x and wxw = w (all intermediate pairs defined)."""
-    comp = table.comp
+    position = _positions(table.carrier)
+    if x not in position:
+        return []
+    found = _pseudo_inverses(_coded_table(table), position[x])
+    return [table.carrier[w] for w in found]
+
+
+def _pseudo_inverses(val, x):
+    """The w of a coded table with xwx = x and wxw = w, in index order."""
     out = []
-    for w in table.carrier:
-        xw = comp.get((x, w))
-        wx = comp.get((w, x))
-        if xw is None or wx is None:
-            continue
-        if comp.get((xw, x)) == x and comp.get((wx, w)) == w:
+    for w, xw in enumerate(val[x]):
+        wx = val[w][x]
+        if xw is not None and wx is not None \
+                and val[xw][x] == x and val[wx][w] == w:
             out.append(w)
     return out
 
 
-def _idempotents_commute(table):
-    comp = table.comp
-    for e, f in product(idempotents(table), repeat=2):
-        if (e, f) in table.comp:
-            if comp.get((f, e)) != comp[(e, f)]:
-                return False
-    return True
+def _idempotents_commute(val):
+    idempotents = [e for e, row in enumerate(val) if row[e] == e]
+    return all(val[e][f] is None or val[f][e] == val[e][f]
+               for e in idempotents for f in idempotents)
 
 
 def detect_inverse_semigroupoid(table):
@@ -227,12 +268,18 @@ def detect_inverse_semigroupoid(table):
     disagreement would mean one of the two checkers is wrong, so it raises.
     Both read the one list of pseudo-inverses of each element.
     """
-    found = [(x, pseudo_inverses(table, x)) for x in table.carrier]
-    witness = next(((x, tuple(inv)) for x, inv in found if len(inv) != 1),
-                   None)
+    return _inverse_check(table.carrier, _coded_table(table))
+
+
+def _inverse_check(carrier, val):
+    """detect_inverse_semigroupoid on the table coded as val."""
+    found = [_pseudo_inverses(val, x) for x in range(len(val))]
+    name = carrier.__getitem__
+    witness = next(((name(x), tuple(map(name, inv)))
+                    for x, inv in enumerate(found) if len(inv) != 1), None)
     ok = witness is None
-    regular = all(inv for _, inv in found)
-    indirect = regular and _idempotents_commute(table)
+    regular = all(found)
+    indirect = regular and _idempotents_commute(val)
     if ok != indirect:
         raise AssertionError(
             "pseudo-inverse uniqueness and the commuting-idempotents "
@@ -240,7 +287,8 @@ def detect_inverse_semigroupoid(table):
         )
     if not ok:
         return InverseCheck(False, witness=witness)
-    return InverseCheck(True, inverse={x: inv[0] for x, inv in found})
+    return InverseCheck(True, inverse={
+        x: name(inv[0]) for x, inv in zip(carrier, found)})
 
 
 def derive_plus_from_inverses(table, inverse):
@@ -254,77 +302,38 @@ def derive_plus_from_inverses(table, inverse):
     return plus
 
 
-def _semigroupoid_nd(s):
-    for x in s.carrier:
-        if not any((x, w) in s.table.comp for w in s.carrier):
-            return False, (x,)
-    return True, None
-
-
-def _semigroupoid_lc(s):
-    image = set(s.plus.values())
-    for x in s.carrier:
-        if not any(
-            e in image and is_left_identity(s.table, e)
-            and (e, x) in s.table.comp
-            for e in s.carrier
-        ):
-            return False, (x,)
-    return True, None
-
-
-def _semigroupoid_unitary(s):
-    identities = _identities(s.table)
-    for x in s.carrier:
-        if not any((e, x) in s.table.comp for e in identities):
-            return False, (x,)
-    return True, None
-
-
-def _semigroupoid_right_inverses(s):
-    """Right inverses of the associated constellation, read off the table:
-    some w with x w+ = x and x w = x+."""
-    comp = s.table.comp
-    inverse = {}
-    for x in s.carrier:
-        w = next(
-            (
-                w
-                for w in s.carrier
-                if comp.get((x, s.plus[w])) == x and comp.get((x, w)) == s.plus[x]
-            ),
-            None,
-        )
-        if w is None:
-            return InverseCheck(False, witness=(x,))
-        inverse[x] = w
-    return InverseCheck(True, inverse=inverse)
-
-
 def classify_semigroupoid(s):
-    """Classification computed from the semigroupoid table alone."""
+    """Classification computed from the semigroupoid table alone.
+
+    The right inverses are those of the associated constellation, read off
+    the table: some w with x w+ = x and x w = x+.
+    """
+    carrier = s.carrier
+    _, val, plus = _coded_structure(s)
+    every = range(len(val))
+    left, right = _identity_flags(val)
+    identities = [e for e in every if left[e] and right[e]]
+    image = set(plus)
+    units = [e for e in every if e in image and left[e]]
     witnesses = {}
-    nd, w = _semigroupoid_nd(s)
-    if w:
-        witnesses["nd"] = w
-    lc, w = _semigroupoid_lc(s)
-    if w:
-        witnesses["lc"] = w
-    unitary, w = _semigroupoid_unitary(s)
-    if w:
-        witnesses["unitary"] = w
-    category = detect_category(s.table)
-    inverse = detect_inverse_semigroupoid(s.table)
-    right_inv = _semigroupoid_right_inverses(s)
-    if not right_inv.ok:
-        witnesses["has_right_inverses"] = right_inv.witness
+    nd = _witness(witnesses, "nd", _first(carrier, (
+        x for x, row in enumerate(val) if row.count(None) == len(row))))
+    lc = _witness(witnesses, "lc", _first(carrier, (
+        x for x in every if all(val[e][x] is None for e in units))))
+    unitary = _witness(witnesses, "unitary", _first(carrier, (
+        x for x in every if all(val[e][x] is None for e in identities))))
+    right_inv = _right_inverse_check(carrier, [
+        next((w for w, v in enumerate(row)
+              if row[plus[w]] == x and v == plus[x]), None)
+        for x, row in enumerate(val)])
+    _witness(witnesses, "has_right_inverses", right_inv.witness)
     return ClassificationReport(
         nd=nd,
         lc=lc,
         unitary=unitary,
-        is_category=category.ok,
+        is_category=_category(val, identities) is not None,
         is_semigroup=detect_semigroup(s.table),
-        is_inverse_semigroupoid=inverse.ok,
+        is_inverse_semigroupoid=_inverse_check(carrier, val).ok,
         has_right_inverses=right_inv.ok,
         witnesses=witnesses,
     )

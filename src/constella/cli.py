@@ -7,7 +7,6 @@ The environment variable CONSTELLA_CAP overrides the guard rails: values
 up to 8 set the census size cap, larger values the candidate-count cap.
 """
 
-import argparse
 import json
 import os
 import sys
@@ -243,6 +242,8 @@ def cmd_theorems(args):
 
 
 def _parser():
+    import argparse  # here, so that importing the package leaves it out
+
     p = argparse.ArgumentParser(
         prog="constella",
         description="finite workbench for restriction semigroupoids and constellations",

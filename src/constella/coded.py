@@ -10,8 +10,6 @@ on indices.  A constellation's corestriction index is kept in the same
 coding (_Index).
 """
 
-from itertools import compress
-
 
 def _positions(carrier):
     """{element: its index in the carrier}."""
@@ -51,15 +49,26 @@ def _coded(t):
 
 
 def _order_rows(pairs, n):
-    """(le, up, down) for an order on range(n) given by its pairs: le[x][y]
-    is true when x <= y, up[x] lists the y >= x and down[x] the y <= x, in
-    index order."""
+    """(le, up, down) for an order on range(n) given by its pairs, each
+    once: le[x][y] is true when x <= y, up[x] lists the y >= x and down[x]
+    the y <= x, in index order."""
     le = [[False] * n for _ in range(n)]
-    for a, b in pairs:
+    up = [[] for _ in range(n)]
+    down = [[] for _ in range(n)]
+    for a, b in sorted(pairs):
         le[a][b] = True
-    every = range(n)
-    return (le, [list(compress(every, row)) for row in le],
-            [list(compress(every, column)) for column in zip(*le)])
+        up[a].append(b)
+        down[b].append(a)
+    return le, up, down
+
+
+def _down_lists(up):
+    """The down-lists of an order given by its up-lists, in index order."""
+    down = [[] for _ in up]
+    for x, above in enumerate(up):
+        for y in above:
+            down[y].append(x)
+    return down
 
 
 class _Index:

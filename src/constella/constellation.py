@@ -139,10 +139,10 @@ class OrderedConstellation(_PlusStructure):
 
         Only for callers that have just proved ``order`` a partial order on
         the carrier: the census builds its candidate orders that way,
-        build_C takes natural_order's relation, which raises InvalidOrderError
-        when it is not one, and parse_structure checks every order line
-        against the carrier, closes them and rejects cycles.  The plus map
-        is still checked for shape."""
+        build_C takes the natural order its core has checked (it raises
+        InvalidOrderError when that is not one), and parse_structure checks
+        every order line against the carrier, closes them and rejects
+        cycles.  The plus map is still checked for shape."""
         t = cls.__new__(cls)
         _PlusStructure.__init__(t, table, plus)
         t._keep_order(frozenset(order))
@@ -189,7 +189,9 @@ class OrderedConstellation(_PlusStructure):
         return components
 
     def validate(self):
-        return check_constellation(self).merged(check_locally_inductive(self))
+        rows = _coded(self)
+        return check_constellation(self, rows).merged(
+            check_locally_inductive(self, rows))
 
     def __eq__(self, other):
         return (
@@ -221,20 +223,23 @@ def _result(t, cores, x, e):
     return CorestrictionResult.of(t.carrier[m])
 
 
-def check_constellation(t):
+def check_constellation(t, rows=None):
     """Check c1-c4.
 
     c1: xy and yz are both defined iff yz and x(yz) are.
     c2: if xy and yz are defined then (xy)z is, and x(yz) = (xy)z.
     c3: for e in T+: ex defined with ex = x iff e = x+.
     c4: for e in T+: xe defined implies xe = x.
+
+    rows, the coded view _coded(t), saves coding t.
     """
-    position = _positions(t.carrier)
-    val = _value_rows(t.table, position)
+    if rows is None:
+        position = _positions(t.carrier)
+        rows = (position, _value_rows(t.table, position),
+                _coded_plus(t.carrier, t.plus, position))
+    val, plus = rows[1], rows[2]
     return _named_report(t.carrier, chain(
-        _c12_violations(_defined_rows(val), val),
-        _c34_violations(val, _coded_plus(t.carrier, t.plus, position)),
-    ))
+        _c12_violations(_defined_rows(val), val), _c34_violations(val, plus)))
 
 
 def _c12_violations(D, val, rows=None):
@@ -357,7 +362,7 @@ def meet(t, e, f):
     return None if m is None else t.carrier[m]
 
 
-def check_locally_inductive(t):
+def check_locally_inductive(t, rows=None):
     """Check wo1-wo9 for an ordered constellation.
 
     wo1: x <= y, x2 <= y2 with xx2 and yy2 defined imply xx2 <= yy2.
@@ -374,9 +379,9 @@ def check_locally_inductive(t):
     entry (x, e): the maximum of its candidates, the y <= x with ye
     defined; it is nonempty when it has candidates.  The existence guards
     are tested on the candidate sets, so each axiom is decided
-    independently of wo4.
+    independently of wo4.  rows, the coded view _coded(t), saves coding t.
     """
-    rows = _coded(t)
+    rows = rows or _coded(t)
     _, val, plus, le, up, down = rows
     return _named_report(t.carrier, chain(
         _order_violations(val, plus, le, up),

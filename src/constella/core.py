@@ -9,7 +9,8 @@ index, built once per check, and names the witnesses back through the
 carrier (_named_report).
 """
 
-from itertools import product
+from itertools import compress, product, repeat
+from operator import eq
 
 from .coded import _coded_plus, _defined_rows, _positions, _value_rows
 
@@ -107,6 +108,18 @@ class PartialTable:
         object.__setattr__(self, "comp", comp)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, carrier, comp):
+        """The table the constructor would build, without its checks: only
+        for a carrier that is a tuple of distinct elements and a new comp
+        dict whose pairs and values lie in it, as in a table labelled from
+        carrier indices."""
+        t = cls.__new__(cls)
+        object.__setattr__(t, "carrier", carrier)
+        object.__setattr__(t, "comp", comp)
+        object.__setattr__(t, "_hash", None)
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("PartialTable is immutable")
 
@@ -188,8 +201,9 @@ class LeftRestrictionSemigroupoid(_PlusStructure):
     __slots__ = ()
 
     def validate(self):
-        return check_semigroupoid(self.table).merged(
-            check_left_restriction(self.table, self.plus)
+        rows = _coded_structure(self)
+        return check_semigroupoid(self.table, rows).merged(
+            check_left_restriction(self.table, self.plus, rows)
         )
 
     @classmethod
@@ -218,7 +232,14 @@ class LeftRestrictionSemigroupoid(_PlusStructure):
         return f"LeftRestrictionSemigroupoid({list(self.carrier)!r})"
 
 
-def check_semigroupoid(t):
+def _coded_structure(s):
+    """(position, val, plus): the semigroupoid s coded by carrier index."""
+    position = _positions(s.carrier)
+    return (position, _value_rows(s.table, position),
+            _coded_plus(s.carrier, s.plus, position))
+
+
+def check_semigroupoid(t, rows=None):
     """Check the closure-style associativity of a partial table.
 
     For a triple (s, x, r) the law triggers when any of these holds:
@@ -228,9 +249,10 @@ def check_semigroupoid(t):
       s3: xr and s(xr) are defined.
 
     A triggered triple must have all four pairs defined with
-    (sx)r = s(xr).  Every failing (clause, triple) is reported.
+    (sx)r = s(xr).  Every failing (clause, triple) is reported.  rows, a
+    structure on t coded as _coded_structure gives it, saves coding t.
     """
-    val = _value_rows(t, _positions(t.carrier))
+    val = _value_rows(t, _positions(t.carrier)) if rows is None else rows[1]
     return _named_report(t.carrier, _s_violations(_defined_rows(val), val))
 
 
@@ -241,7 +263,7 @@ def _named_report(carrier, found):
     Every axiom generator runs on its structure coded by carrier index
     (see coded), which is exact.  The axioms compare elements only for equality,
     definedness, plus and order, and name no label (see
-    enumerate._tables), so the index bijection maps the failing instances
+    tables._tables), so the index bijection maps the failing instances
     of the coded structure onto those of the structure itself.  Every
     generator visits elements and pairs in index order, which is carrier
     order, so the named witnesses come in the sequence a scan of the
@@ -297,18 +319,24 @@ def _s_violations(D, val, rows=None):
                     yield axiom, (s, x, r)
 
 
-def check_left_restriction(t, plus):
+def check_left_restriction(t, plus, rows=None):
     """Check lr1-lr4 for a table plus a total unary map.
 
     lr1: s+ s defined and equal to s.
     lr2: e f defined iff f e defined, and then e f = f e  (e, f in S+).
     lr3: e t defined implies e t+ defined and (e t)+ = e t+  (e in S+).
     lr4: s t defined implies s t+ and (s t)+ s defined with s t+ = (s t)+ s.
+
+    rows, the structure (t, plus) coded as _coded_structure gives it, is
+    read instead of coding t and plus; without it the plus map is first
+    checked for shape.
     """
-    plus = _plus_map(t.carrier, plus)
-    position = _positions(t.carrier)
-    return _named_report(t.carrier, _lr_violations(
-        _value_rows(t, position), _coded_plus(t.carrier, plus, position)))
+    if rows is None:
+        plus = _plus_map(t.carrier, plus)
+        position = _positions(t.carrier)
+        rows = (position, _value_rows(t, position),
+                _coded_plus(t.carrier, plus, position))
+    return _named_report(t.carrier, _lr_violations(rows[1], rows[2]))
 
 
 def holds(violations):
@@ -371,22 +399,51 @@ def _check_partial_order(pairs, carrier):
     return None
 
 
+def _order_rows_problem(carrier, le, up):
+    """What _check_partial_order reports for an order coded as le and
+    up-lists (coded._order_rows), at its first failure in index order, or
+    None for a partial order."""
+    for a, row in enumerate(le):
+        if not row[a]:
+            return f"not reflexive at {carrier[a]!r}"
+    strict = [(a, b) for a, above in enumerate(up) for b in above if b != a]
+    for a, b in strict:
+        if le[b][a]:
+            return f"not antisymmetric at {(carrier[a], carrier[b])!r}"
+    for a, b in strict:  # b <= b adds nothing to check
+        row = le[a]
+        for d in up[b]:
+            if not row[d]:
+                return ("not transitive at "
+                        f"{(carrier[a], carrier[b], carrier[d])!r}")
+    return None
+
+
 def natural_order(s):
     """The relation  a <= b  iff  a+ b is defined and equals a.
 
     Raises InvalidOrderError if the result is not a partial order, which
     cannot happen once the lr axioms hold; it flags a checker bug.
     """
-    comp = s.table.comp
-    rel = frozenset(
-        (a, b)
-        for a, b in product(s.carrier, repeat=2)
-        if comp.get((s.plus[a], b)) == a
-    )
-    problem = _check_partial_order(rel, s.carrier)
+    _, val, plus = _coded_structure(s)
+    up = _natural_rows(s.carrier, val, plus)[1]
+    name = s.carrier.__getitem__
+    return frozenset((name(a), name(b))
+                     for a, above in enumerate(up) for b in above)
+
+
+def _natural_rows(carrier, val, plus):
+    """The natural order of a semigroupoid coded by carrier index, as le
+    and up-lists (coded._order_rows): a <= b iff a+ b = a.  Raises
+    InvalidOrderError, naming its first failure through the carrier, when
+    it is not a partial order."""
+    every = range(len(val))
+    le = [list(map(eq, val[e], repeat(a))) for a, e in enumerate(plus)]
+    up = [list(compress(every, row)) for row in le]
+    problem = _order_rows_problem(carrier, le, up)
     if problem is not None:
         raise InvalidOrderError(problem)
-    return rel
+    return le, up
 
 
 def natural_order_by_witness(s):

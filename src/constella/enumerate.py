@@ -1,29 +1,18 @@
 """Exhaustive generation of all valid structures on small carriers.
 
-Tables are generated by choosing a defined-pair subset D, then assigning
-values depth-first.  Each defined pair ab draws its value only from the v
-with Ldom(v) = Ldom(a) and Rdom(b) a subset of Rdom(v), which s1-s3 and
-c1/c2 both impose (a D with an empty choice is skipped).  After each
-assignment the reporting checker's own violation generator (s1-s3, or
-c1/c2 on the constellation side) runs on the rows of instances that read
-the new value, and the branch is cut at its first violation (core.holds):
-on a partial table the generators report only instances that are already
-broken, and on a complete one exactly the failing instances, so every
-other instance still holds.  The stream is exactly the set of valid
-structures, in a deterministic order and duplicate-free.
-
-None of these conditions names a label, so relabelling the carrier maps
-valid tables to valid tables.  The search therefore visits only the least
-D of each orbit under the n! relabellings, and there only the tables that
-are lex-least under the relabellings fixing that D; every other table is
-rebuilt by relabelling a kept one and put back in search order (_tables).
-
-Each table is paired only with plus maps that draw x+ from {e : ex = x},
-a condition both lr1 and c3 impose.  The remaining axioms are decided by
-the same generators the reporting checkers collect, stopped at the first
-violation.  The whole search runs on carrier indices, on the coded tables,
-plus maps and orders those generators read; labels are attached only to
-the tables and structures it yields.
+Both censuses draw their tables from the table search of tables.py, each
+with the checker's own generator of its table axioms (s1-s3, or c1/c2),
+and pair each table with plus maps that draw x+ from its units of x, the e
+with ex = x and ee = e: on both sides x+ is such a unit (the unit lemma,
+proved at _plus_maps).  So the censuses also search only the tables on
+which every x has a unit, which the table search prunes by orbit and by
+branch.  The tables cut carry no plus map, so each census yields what it
+yielded before; enumerate_semigroupoids keeps the unpruned search.  The
+remaining axioms are decided by the same generators the reporting
+checkers collect, stopped at the first violation.  The whole search runs
+on carrier indices, on the coded tables, plus maps and orders those
+generators read; labels are attached only to the tables and structures it
+yields.
 
 On the constellation side the order is built from the (table, plus) pair
 rather than searched among all partial orders (_candidate_orders).  The
@@ -46,11 +35,17 @@ from .constellation import (
 )
 from .core import (
     LeftRestrictionSemigroupoid,
-    PartialTable,
     _check_partial_order,
     _lr_violations,
     _s_violations,
     holds,
+)
+from .tables import (
+    CapExceededError,
+    _labelled_table,
+    _table_codes,
+    _table_rows,
+    _tables,
 )
 
 __all__ = [
@@ -68,17 +63,6 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 4
-
-# _tables keeps one byte per defined-pair mask: a permutation index below
-# _EMPTY (n! <= 120), _EMPTY for a mask whose orbit holds no table, and
-# _UNSEEN before the mask's orbit is searched.
-_MAX_TABLE_CARRIER = 5
-_EMPTY = 254
-_UNSEEN = 255
-
-
-class CapExceededError(RuntimeError):
-    """A size or candidate count above its cap, or an unreadable cap."""
 
 
 def cap_from_env():
@@ -112,236 +96,21 @@ def _check_cap(n, cap):
         raise CapExceededError(f"size {n} exceeds cap {cap}")
 
 
-def _tables(carrier, violations):
-    """The tables of _table_codes(carrier, violations) as PartialTables,
-    each comp keyed in mask order."""
-    for keys, _, values in _table_codes(carrier, violations):
-        yield _labelled_table(carrier, keys, values)
-
-
-def _table_codes(carrier, violations):
-    """All tables on the carrier on which the coded generator
-    violations(D, val, rows) yields nothing, in mask order and then in
-    carrier order of the values, each as (keys, defined, values): its
-    defined pairs in mask order, as pairs of elements (one list shared by
-    the tables of a mask) and as pairs of carrier indices, and the bytes of
-    the indices of their values.
-
-    Relabelling the carrier by a permutation h maps the valid tables on a
-    defined-pair mask m one to one onto those on h(m): s1-s3, c1/c2 and
-    the _value_choices filter are stated without reference to labels.  So
-    only the least mask of each orbit (the first one met in mask order) is
-    searched, and there only for the tables that no permutation fixing the
-    mask maps to a lex-smaller one (values compared by carrier index, in
-    mask order): a value is dropped as soon as some such permutation makes
-    the assigned prefix smaller.  Every table on a mask h(rep) is then
-    h(g(t)) for g fixing rep and t a kept table, and these are rebuilt,
-    deduplicated and sorted, which is the order the full search yields.
-
-    On the searched mask each defined pair takes its values from
-    _value_choices, and a mask in which some pair has none is skipped with
-    its orbit.  After each assigned value the generator runs on the rows
-    that read it (_reading_rows), and a branch is cut at its first
-    violation.  This is exact: every instance held before the assignment,
-    and only those reading the new value can change.  The empty table is
-    not checked, as no instance triggers on it.
-
-    The per-mask state is one byte (the permutation that carries the
-    orbit's least mask to it), so carriers are limited to 5 elements.
-    """
-    n = len(carrier)
-    if n > _MAX_TABLE_CARRIER:
-        raise CapExceededError(
-            f"table search capped at {_MAX_TABLE_CARRIER} elements")
-    pairs = sorted(product(carrier, repeat=2))
-    position = {pair: q for q, pair in enumerate(pairs)}
-    index = {x: i for i, x in enumerate(carrier)}
-    coded = [(index[a], index[b]) for a, b in pairs]
-    perms = list(permutations(range(n)))  # perms[0] is the identity
-    number = {p: k for k, p in enumerate(perms)}
-    inverse = [number[tuple(sorted(range(n), key=p.__getitem__))]
-               for p in perms]
-    # moved[k][q]: the bit of pair q relabelled by perms[k]
-    moved = [[position[carrier[p[index[a]]], carrier[p[index[b]]]]
-              for a, b in pairs] for p in perms]
-    # bytewise[k][c][v]: the byte v at byte c of a mask relabelled by
-    # perms[k], so that a mask is relabelled by a few lookups
-    bytewise = [[_relabelled_bytes(bit_images[c:c + 8])
-                 for c in range(0, len(pairs), 8)] for bit_images in moved]
-
-    def bits(mask):
-        return [q for q in range(len(pairs)) if mask >> q & 1]
-
-    def image(k, mask):
-        out = 0
-        for table in bytewise[k]:
-            out |= table[mask & 255]
-            mask >>= 8
-        return out
-
-    def slots(k, src, dst):
-        # perms[k] carries a table on bits src to one on bits dst whose
-        # j-th value is perms[k] of the source's slots[j]-th value
-        where = {q: j for j, q in enumerate(src)}
-        back = moved[inverse[k]]
-        return [where[back[q]] for q in dst]
-
-    orbit_of = bytearray([_UNSEEN]) * (1 << len(pairs))
-    searched = {}  # least mask -> (its bits, its stabilizer, kept tables)
-    for mask in range(1 << len(pairs)):
-        k = orbit_of[mask]
-        if k == _EMPTY:
-            continue
-        qs = bits(mask)
-        if k == _UNSEEN:  # the least mask of its orbit
-            images = [image(h, mask) for h in range(len(perms))]
-            stabilizer = [g for g, m in enumerate(images) if m == mask]
-            kept = _least_tables(
-                n, violations, [coded[q] for q in qs],
-                [(perms[g], slots(g, qs, qs)) for g in stabilizer[1:]])
-            for h, m in enumerate(images):
-                if orbit_of[m] == _UNSEEN:
-                    orbit_of[m] = h if kept else _EMPTY
-            if not kept:
-                continue
-            searched[mask] = qs, stabilizer, kept
-            k = 0
-        rep_qs, stabilizer, kept = searched[image(inverse[k], mask)]
-        tables = set()
-        for g in stabilizer:
-            hg = number[tuple(perms[k][i] for i in perms[g])]
-            p, src = perms[hg], slots(hg, rep_qs, qs)
-            tables.update(bytes(p[t[s]] for s in src) for t in kept)
-        keys = [pairs[q] for q in qs]
-        defined = [coded[q] for q in qs]
-        for t in sorted(tables):
-            yield keys, defined, t
-
-
-def _labelled_table(carrier, keys, values):
-    """The PartialTable of a coded table, keyed in the order of keys."""
-    return PartialTable(
-        carrier, {key: carrier[v] for key, v in zip(keys, values)})
-
-
-def _table_rows(n, defined, values):
-    """A coded table as rows: val[a][b] is the value of (a, b), else None."""
-    val = [[None] * n for _ in range(n)]
-    for (a, b), v in zip(defined, values):
-        val[a][b] = v
-    return val
-
-
-def _relabelled_bytes(bit_images):
-    """For each byte value, the mask of the bit_images of its set bits."""
-    table = [0] * (1 << len(bit_images))
-    for v in range(1, len(table)):
-        low = v & -v
-        table[v] = table[v ^ low] | 1 << bit_images[low.bit_length() - 1]
-    return table
-
-
-def _least_tables(n, violations, defined, symmetries):
-    """The valid tables on the defined pairs (carrier indices), as bytes of
-    value indices, that no symmetry (g, slots) maps to a lex-smaller table;
-    g(t) has g[t[slots[j]]] at position j."""
-    choices = _value_choices(n, defined)
-    if choices is None:
-        return []
-    D = [[False] * n for _ in range(n)]
-    for a, b in defined:
-        D[a][b] = True
-    val = [[None] * n for _ in range(n)]
-    values = []
-    kept = []
-
-    def smaller_image():
-        last = len(values)
-        for g, slots in symmetries:
-            for j in range(last):
-                s = slots[j]
-                if s >= last:
-                    break
-                v = g[values[s]]
-                if v != values[j]:
-                    if v < values[j]:
-                        return True
-                    break
-        return False
-
-    def assign(i):
-        if i == len(defined):
-            kept.append(bytes(values))
-            return
-        a, b = defined[i]
-        for value in choices[i]:
-            values.append(value)
-            if not smaller_image():
-                val[a][b] = value
-                if holds(violations(D, val, _reading_rows(val, a, b))):
-                    assign(i + 1)
-            values.pop()
-        val[a][b] = None
-
-    assign(0)
-    return kept
-
-
-def _value_choices(n, defined):
-    """For each defined pair (a, b) of carrier indices, in order, the values
-    v in index order with Ldom(v) = Ldom(a) and Rdom(b) a subset of
-    Rdom(v); None when some pair has no such value.
-
-    Ldom(v) = {s : sv defined} and Rdom(v) = {r : vr defined}.  Both
-    s1-s3 and c1/c2 impose this on v = ab: an s with sa defined has s(ab)
-    defined and conversely (s1, s3; c1), and an r with br defined has
-    (ab)r defined (s1; c2).
-    """
-    ldom = [set() for _ in range(n)]
-    rdom = [set() for _ in range(n)]
-    for s, x in defined:
-        ldom[x].add(s)
-        rdom[s].add(x)
-    choices = []
-    for a, b in defined:
-        values = [v for v in range(n)
-                  if ldom[v] == ldom[a] and rdom[b] <= rdom[v]]
-        if not values:
-            return None
-        choices.append(values)
-    return choices
-
-
-def _reading_rows(val, a, b):
-    """The rows (s, x, rs) of the instances (s, x, r) of a coded table whose
-    verdict reads val[a][b]: as sx in (a, b, r), as xr in (s, a, b), as
-    (sx)r in (s, x, b) with sx = a, and as s(xr) in (a, x, r) with
-    xr = b."""
-    every = range(len(val))
-    yield a, b, every
-    only_b = (b,)
-    for s in every:
-        yield s, a, only_b
-    for s, row in enumerate(val):
-        for x, value in enumerate(row):
-            if value == a:
-                yield s, x, only_b
-    for x, row in enumerate(val):
-        rs = [r for r, value in enumerate(row) if value == b]
-        if rs:
-            yield a, x, rs
-
-
 def _plus_maps(val):
     """Plus maps of a coded table, as tuples of carrier indices, with every
-    x+ drawn from {e : ex = x}, in the lexicographic order of the full n^n
-    product.
+    x+ drawn from the units of x, the e with ex = x and ee = e, in the
+    lexicographic order of the full n^n product.
 
-    ex = x is necessary for e = x+: it is lr1 on the semigroupoid side and
-    one direction of c3 on the constellation side.
+    The unit lemma: x+ x = x and x+ x+ = x+ on both sides.
+    - Semigroupoid side: lr1 gives x+ x = x.  Then lr3 at (e, t) = (x+, x)
+      makes x+ x+ defined, with x+ = (x+ x)+ = x+ x+.
+    - Constellation side: c3 gives x+ x = x.  As in _candidate_orders, c3
+      and then c4 give (x+)+ = x+.  Then c3 at (x+, x+) gives
+      x+ x+ = x+.
     """
     every = range(len(val))
-    return product(*([e for e in every if val[e][x] == x] for x in every))
+    return product(*([e for e in every if val[e][x] == x and val[e][e] == e]
+                     for x in every))
 
 
 def _labelled_plus(carrier, plus):
@@ -361,7 +130,7 @@ def enumerate_lr_semigroupoids(n, cap=None):
     tables and structures it yields."""
     _check_cap(n, cap)
     carrier = carrier_labels(n)
-    for keys, defined, values in _table_codes(carrier, _s_violations):
+    for keys, defined, values in _table_codes(carrier, _s_violations, True):
         val = _table_rows(n, defined, values)
         table = None
         for plus in _plus_maps(val):
@@ -403,7 +172,8 @@ def enumerate_li_constellations(n, cap=None):
     carrier = carrier_labels(n)
     position = _positions(carrier)
     pair = [[(x, y) for y in carrier] for x in carrier]
-    for keys, defined, values in _table_codes(carrier, _c12_violations):
+    for keys, defined, values in _table_codes(carrier, _c12_violations,
+                                              True):
         val = _table_rows(n, defined, values)
         table = None
         for plus in _plus_maps(val):

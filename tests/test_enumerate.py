@@ -1,6 +1,6 @@
 import hashlib
 from collections import Counter
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial
 
 import pytest
@@ -13,6 +13,7 @@ from constella.constellation import (
     _c34_violations,
 )
 from constella.core import (
+    LeftRestrictionSemigroupoid,
     PartialTable,
     _lr_violations,
     _s_violations,
@@ -22,8 +23,6 @@ from constella.core import (
 from constella.enumerate import (
     CapExceededError,
     _plus_maps,
-    _reading_rows,
-    _tables,
     all_partial_orders,
     are_isomorphic,
     canonical_form,
@@ -35,11 +34,19 @@ from constella.enumerate import (
 )
 from constella.functor import build_C
 from constella.szendrei import expand_constellation
+from constella.tables import (
+    _least_tables,
+    _reading_rows,
+    _table_codes,
+    _table_rows,
+    _tables,
+)
 from constella.theorems import FROZEN_CENSUS_COUNTS
 from test_exactness import (
     _c12_reference,
     _c34_reference,
     _index_reference,
+    _lr_reference,
     _order_reference,
     _s_reference,
     coded_table,
@@ -103,6 +110,87 @@ def _reference_li_constellations(n):
                 t = OrderedConstellation(table, plus, order)
                 if holds(_index_reference(t)):
                     yield t
+
+
+def _reference_lr_semigroupoids(n):
+    # every plus map for each table of the unpruned search passing s1-s3,
+    # filtered by the reference scan of lr1-lr4
+    carrier = carrier_labels(n)
+    for table in _tables(carrier, _s_violations):
+        for images in product(carrier, repeat=n):
+            plus = dict(zip(carrier, images))
+            if holds(_lr_reference(table, plus)):
+                yield LeftRestrictionSemigroupoid(table, plus)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pruned_lrs_census_gives_the_stream_of_the_full_filter(n):
+    built = list(enumerate_lr_semigroupoids(n))
+    reference = list(_reference_lr_semigroupoids(n))
+    assert [(s.table, s.plus) for s in built] == \
+        [(s.table, s.plus) for s in reference]
+
+
+def _assert_unit_lemma(x):
+    """x+ x = x, x+ x+ = x+ and (x+)+ = x+ for every x."""
+    comp, plus = x.table.comp, x.plus
+    for a in x.carrier:
+        e = plus[a]
+        assert comp.get((e, a)) == a and comp.get((e, e)) == e, (x, a)
+        assert plus[e] == e, (x, a)
+
+
+def test_unit_lemma_on_both_censuses(census_4):
+    for census in (enumerate_lr_semigroupoids, enumerate_li_constellations):
+        for n in (1, 2, 3):
+            for x in census(n):
+                _assert_unit_lemma(x)
+    for x in chain(*census_4):
+        _assert_unit_lemma(x)
+
+
+def _has_units(n, defined, values):
+    val = _table_rows(n, defined, values)
+    return all(any(val[e][x] == x and val[e][e] == e for e in range(n))
+               for x in range(n))
+
+
+@pytest.mark.parametrize(
+    "violations", [_s_violations, _c12_violations], ids=["s", "c12"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unit_pruning_drops_exactly_the_tables_without_units(n, violations):
+    # the censuses' table search yields the unpruned stream less the
+    # tables on which some x has no e with ex = x and ee = e
+    carrier = carrier_labels(n)
+    full = list(_table_codes(carrier, violations))
+    kept = [t for t in full if _has_units(n, t[1], t[2])]
+    assert list(_table_codes(carrier, violations, True)) == kept
+    assert 0 < len(kept) < len(full)
+
+
+def test_unit_cut_is_exact_on_every_assignment():
+    # with a generator that reports nothing, every value assignment the
+    # choices allow is kept, so the cut alone decides which survive: it
+    # must keep exactly those on which every x has a unit
+    def nothing(D, val, rows):
+        return iter(())
+
+    cut = 0
+    for n in (1, 2, 3):
+        pairs = list(product(range(n), repeat=2))
+        for mask in range(1 << len(pairs)):
+            defined = [p for q, p in enumerate(pairs) if mask >> q & 1]
+            every = _least_tables(n, nothing, defined, [])
+            kept = [t for t in every if _has_units(n, defined, t)]
+            assert _least_tables(n, nothing, defined, [], True) == kept
+            cut += len(every) - len(kept)
+    assert cut > 0
+
+
+def test_semigroupoid_census_keeps_the_unpruned_search():
+    tables = list(enumerate_semigroupoids(4))
+    assert len(tables) == 8108
+    assert _stream_digest(tables) == S_4_DIGEST
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -416,9 +504,12 @@ def _stream_digest(tables):
 
 # recorded from the search that visited every defined-pair set and every
 # table on it; the digest reads each comp's keys in order
+S_4_DIGEST = \
+    "ac5d3e2d42452094a8552c6cb1ccc3f4a3b31195389c8a16390f2dd5a6470929"
+
+
 @pytest.mark.parametrize("violations, count, digest", [
-    (_s_violations, 8108,
-     "ac5d3e2d42452094a8552c6cb1ccc3f4a3b31195389c8a16390f2dd5a6470929"),
+    (_s_violations, 8108, S_4_DIGEST),
     (_c12_violations, 46696,
      "1b78636067b07c2f4e757e061ab645663621155efe4e18a47acadbc03d06cd87"),
 ], ids=["s", "c12"])

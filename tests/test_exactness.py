@@ -19,6 +19,11 @@
   in the census.
 - render_report writes its JSON text directly; json.dumps(doc, indent=2)
   of the same document is kept here as the reference.
+- build_C, build_G, roundtrip_check and both classifiers run on rows
+  coded by carrier index.  The labelled constructions, round trip and
+  classifiers they replaced are kept here as the reference: outputs,
+  mismatch names, flags, witnesses and exception types must agree, on
+  valid structures and on every single edit of the n <= 3 censuses.
 """
 
 import hashlib
@@ -27,6 +32,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import chain, islice, product
 from pathlib import Path
 
@@ -36,7 +42,17 @@ from hypothesis import strategies as st
 
 import constella
 from constella import fixtures
-from constella.classify import classify_constellation, classify_semigroupoid
+from constella.classify import (
+    CategoryCheck,
+    InverseCheck,
+    classify_constellation,
+    classify_semigroupoid,
+    detect_category,
+    detect_inverse_semigroupoid,
+    detect_semigroup,
+    has_right_inverses,
+    pseudo_inverses,
+)
 from constella.constellation import (
     CorestrictionResult,
     OrderedConstellation,
@@ -45,6 +61,7 @@ from constella.constellation import (
 )
 from constella.coded import _defined_rows, _positions, _value_rows
 from constella.core import (
+    InvalidOrderError,
     LeftRestrictionSemigroupoid,
     PartialTable,
     Violation,
@@ -53,8 +70,12 @@ from constella.core import (
     check_left_restriction,
     check_semigroupoid,
     holds,
+    idempotents,
+    is_left_identity,
+    is_right_identity,
+    natural_order,
 )
-from constella.functor import build_C, build_G
+from constella.functor import build_C, build_G, roundtrip_check
 from constella.io import render_report, serialize_structure
 from constella.szendrei import (
     SzendreiElement,
@@ -872,3 +893,299 @@ def test_rendered_reports_match_json_dumps():
     for kwargs in calls:
         assert render_report(**kwargs) == _json_report(**kwargs), kwargs
     assert len(failing) == 20  # every axiom, s1-s3, lr1-lr4, c1-c4, wo1-wo9
+
+
+# --- the labelled constructions, round trip and classifiers ---
+
+def _natural_order_reference(s):
+    comp = s.table.comp
+    rel = frozenset((a, b) for a, b in product(s.carrier, repeat=2)
+                    if comp.get((s.plus[a], b)) == a)
+    problem = _check_partial_order(rel, s.carrier)
+    if problem is not None:
+        raise InvalidOrderError(problem)
+    return rel
+
+
+def _build_C_reference(s):
+    comp = {}
+    for a, b in product(s.carrier, repeat=2):
+        if s.table.comp.get((a, s.plus[b])) == a:
+            comp[(a, b)] = s.table.comp[(a, b)]
+    return OrderedConstellation(
+        PartialTable(s.carrier, comp), s.plus, _natural_order_reference(s))
+
+
+def _build_G_reference(t):
+    """x ⊗ y = (x|y+) y, read from the reference corestrictions."""
+    cores = _reference_corestrictions(t)
+    comp = t.table.comp
+    pseudo = {}
+    for x, y in product(t.carrier, repeat=2):
+        m = cores[x, t.plus[y]].value
+        if m is not None:
+            pseudo[x, y] = comp[m, y]
+    return LeftRestrictionSemigroupoid(PartialTable(t.carrier, pseudo), t.plus)
+
+
+def _roundtrip_reference(x):
+    """The mismatch names of the labelled double conversion."""
+    if isinstance(x, LeftRestrictionSemigroupoid):
+        back = _build_G_reference(_build_C_reference(x))
+        names = ("carrier", "defined", "comp", "plus")
+    else:
+        back = _build_C_reference(_build_G_reference(x))
+        names = ("carrier", "defined", "comp", "plus", "order")
+    fields = {
+        "carrier": (x.carrier, back.carrier),
+        "defined": (x.table.comp.keys(), back.table.comp.keys()),
+        "comp": (x.table.comp, back.table.comp),
+        "plus": (x.plus, back.plus),
+        "order": (getattr(x, "order", None), getattr(back, "order", None)),
+    }
+    return tuple(name for name in names if fields[name][0] != fields[name][1])
+
+
+def _identities_reference(table):
+    return [x for x in table.carrier
+            if is_left_identity(table, x) and is_right_identity(table, x)]
+
+
+def _category_reference(table):
+    identities = _identities_reference(table)
+    domain, codomain = {}, {}
+    for x in table.carrier:
+        d = [e for e in identities if (x, e) in table.comp]
+        r = [e for e in identities if (e, x) in table.comp]
+        if len(d) != 1 or len(r) != 1:
+            return CategoryCheck(False)
+        domain[x], codomain[x] = d[0], r[0]
+    for x, y in product(table.carrier, repeat=2):
+        if ((x, y) in table.comp) != (domain[x] == codomain[y]):
+            return CategoryCheck(False)
+    return CategoryCheck(True, domain=domain, codomain=codomain)
+
+
+def _pseudo_inverses_reference(table, x):
+    comp = table.comp
+    out = []
+    for w in table.carrier:
+        xw, wx = comp.get((x, w)), comp.get((w, x))
+        if xw is not None and wx is not None \
+                and comp.get((xw, x)) == x and comp.get((wx, w)) == w:
+            out.append(w)
+    return out
+
+
+def _inverse_reference(table):
+    found = [(x, _pseudo_inverses_reference(table, x)) for x in table.carrier]
+    witness = next(((x, tuple(inv)) for x, inv in found if len(inv) != 1),
+                   None)
+    comp = table.comp
+    commute = all(comp.get((f, e)) == comp[e, f]
+                  for e, f in product(idempotents(table), repeat=2)
+                  if (e, f) in comp)
+    if (witness is None) != (all(inv for _, inv in found) and commute):
+        raise AssertionError("the two inverse criteria disagree")
+    if witness is not None:
+        return InverseCheck(False, witness=witness)
+    return InverseCheck(True, inverse={x: inv[0] for x, inv in found})
+
+
+def _right_inverse_reference(carrier, is_inverse):
+    inverse = {}
+    for x in carrier:
+        w = next((w for w in carrier if is_inverse(x, w)), None)
+        if w is None:
+            return InverseCheck(False, witness=(x,))
+        inverse[x] = w
+    return InverseCheck(True, inverse=inverse)
+
+
+def _first_failing(carrier, holds_at):
+    return next(((x,) for x in carrier if not holds_at(x)), None)
+
+
+def _classify_semigroupoid_reference(s):
+    """(flags, witnesses) as the labelled classifier computed them."""
+    table, comp, carrier = s.table, s.table.comp, s.carrier
+    image = set(s.plus.values())
+    identities = _identities_reference(table)
+    witnesses = {
+        "nd": _first_failing(carrier, lambda x: any(
+            (x, w) in comp for w in carrier)),
+        "lc": _first_failing(carrier, lambda x: any(
+            e in image and is_left_identity(table, e) and (e, x) in comp
+            for e in carrier)),
+        "unitary": _first_failing(carrier, lambda x: any(
+            (e, x) in comp for e in identities)),
+    }
+    right = _right_inverse_reference(carrier, lambda x, w: (
+        comp.get((x, s.plus[w])) == x and comp.get((x, w)) == s.plus[x]))
+    witnesses["has_right_inverses"] = right.witness
+    flags = {name: witnesses[name] is None
+             for name in ("nd", "lc", "unitary")}
+    flags.update(
+        is_category=_category_reference(table).ok,
+        is_semigroup=len(comp) == len(carrier) ** 2,
+        is_inverse_semigroupoid=_inverse_reference(table).ok,
+        has_right_inverses=right.ok)
+    return flags, {k: w for k, w in witnesses.items() if w is not None}
+
+
+def _classify_constellation_reference(t):
+    """(flags, witnesses) as the labelled classifier computed them, from
+    the reference corestrictions and components."""
+    carrier, order, comp = t.carrier, t.order, t.table.comp
+    image = t.plus_image()
+    cores = _reference_corestrictions(t)
+    components = [(group, _reference_maximum(order, group))
+                  for group in _reference_components(t)]
+    witnesses = {"nd": _first_failing(carrier, lambda x: any(
+        cores[x, e].has_candidates for e in image))}
+    witnesses["lc"] = next(
+        ((group[0],) for group, top in components if top is None), None)
+    witnesses["unitary"] = witnesses["lc"] or next((
+        (x, top) for _, top in components for x in carrier
+        if cores[x, top].has_candidates and cores[x, top].value != x), None)
+    def has_meet(e, f):
+        lower = [g for g in image if (g, e) in order and (g, f) in order]
+        return any(all((z, m) in order for z in lower) for m in lower)
+
+    semilattice = len(components) == 1 and all(
+        has_meet(e, f) for e, f in product(image, repeat=2))
+    right = _right_inverse_reference(
+        carrier, lambda x, w: comp.get((x, w)) == t.plus[x])
+    witnesses["has_right_inverses"] = right.witness
+    flags = {name: witnesses[name] is None
+             for name in ("nd", "lc", "unitary")}
+    flags.update(
+        is_category=flags["nd"] and flags["unitary"],
+        is_semigroup=flags["nd"] and semilattice,
+        is_inverse_semigroupoid=right.ok,
+        has_right_inverses=right.ok)
+    return flags, {k: w for k, w in witnesses.items() if w is not None}
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the outcome compared is the type
+        return type(exc)
+
+
+def _roundtrip_outcome(x):
+    report = _outcome(roundtrip_check, x)
+    if isinstance(report, type):
+        return report
+    assert report.equal == (not report.mismatches)
+    return report.mismatches
+
+
+def _classification_outcome(x):
+    lrs = isinstance(x, LeftRestrictionSemigroupoid)
+    report = _outcome(
+        classify_semigroupoid if lrs else classify_constellation, x)
+    if isinstance(report, type):
+        return report
+    return report.flags(), report.witnesses
+
+
+def _classification_reference(x):
+    lrs = isinstance(x, LeftRestrictionSemigroupoid)
+    return _outcome(_classify_semigroupoid_reference if lrs
+                    else _classify_constellation_reference, x)
+
+
+def _same_structure(a, b):
+    """Literal equality, with comp keyed in the same order."""
+    return a == b and list(a.table.comp) == list(b.table.comp)
+
+
+def _sweep_structures():
+    """Fixtures, both censuses at n <= 4, and Sz^1-Sz^3 of C(ex6_6) and
+    C(ex6_7) with their G images."""
+    fx = list(fixtures.all_fixtures().values())
+    lrs, lic = _census(4)
+    lrs, lic = [*fx, *lrs], [*map(build_C, fx), *lic]
+    for name in ("ex6_6", "ex6_7"):
+        t = build_C(fixtures.all_fixtures()[name])
+        for _ in range(3):
+            t = expand_constellation(t)
+            lic.append(t)
+            lrs.append(build_G(t))
+    return lrs, lic
+
+
+def test_sweep_matches_the_labelled_references():
+    lrs, lic = _sweep_structures()
+    assert len(lrs) == len(lic) == 1 + 9 + 130 + 3021 + 10 + 6
+    for s in lrs:
+        c = build_C(s)
+        assert _same_structure(c, _build_C_reference(s))
+        assert natural_order(s) == c.order
+        assert _roundtrip_outcome(s) == _roundtrip_reference(s) == ()
+        assert _classification_outcome(s) == _classification_reference(s)
+    for t in lic:
+        assert _same_structure(build_G(t), _build_G_reference(t))
+        assert _roundtrip_outcome(t) == _roundtrip_reference(t) == ()
+        assert _classification_outcome(t) == _classification_reference(t)
+
+
+def test_detectors_match_the_labelled_references():
+    lrs, lic = _census(3)
+    tables = {x.table for x in chain(lrs, lic, *_sample_structures())}
+    found = Counter()
+    for table in tables:
+        got, want = detect_category(table), _category_reference(table)
+        assert (got.ok, got.domain, got.codomain) == \
+            (want.ok, want.domain, want.codomain)
+        got, want = (_inverse_fields(_outcome(f, table)) for f in (
+            detect_inverse_semigroupoid, _inverse_reference))
+        assert got == want
+        for x in table.carrier:
+            assert pseudo_inverses(table, x) == \
+                _pseudo_inverses_reference(table, x)
+        found.update(category=detect_category(table).ok,
+                     inverse=got is not AssertionError and got[0],
+                     broken=got is AssertionError,
+                     semigroup=detect_semigroup(table))
+    for t in chain(lic, _sample_structures()[1]):
+        want = _right_inverse_reference(
+            t.carrier, lambda x, w: t.table.comp.get((x, w)) == t.plus[x])
+        assert _inverse_fields(has_right_inverses(t)) == _inverse_fields(want)
+    assert min(found.values()) > 10 and len(found) == 4
+
+
+def _inverse_fields(check):
+    """An InverseCheck as a tuple, or the exception type raised instead."""
+    if isinstance(check, type):
+        return check
+    return check.ok, check.inverse, check.witness
+
+
+# Outcomes of roundtrip_check on the single edits of the n <= 3 censuses:
+# mismatch names, or the type of the exception the round trip raises.
+ROUNDTRIP_EDIT_OUTCOMES = {
+    "lrs": {(): 608, ("comp",): 168, ("defined", "comp"): 1308,
+            "InvalidOrderError": 1653, "KeyError": 644},
+    "lic": {(): 466, ("order",): 782, ("defined", "comp"): 1018,
+            ("defined", "comp", "order"): 250,
+            "InvalidOrderError": 1611, "KeyError": 900},
+}
+
+
+@pytest.mark.parametrize("kind", ["lrs", "lic"])
+def test_sweep_matches_the_references_on_every_single_edit(kind):
+    lrs, lic = _census(3)
+    census, edits = (lrs, _lrs_edits) if kind == "lrs" else (lic, _lic_edits)
+    outcomes = Counter()
+    for base in census:
+        for x in edits(base):
+            got = _roundtrip_outcome(x)
+            assert got == _outcome(_roundtrip_reference, x), x
+            assert _classification_outcome(x) == \
+                _classification_reference(x), x
+            outcomes[got if isinstance(got, tuple) else got.__name__] += 1
+    assert outcomes == ROUNDTRIP_EDIT_OUTCOMES[kind]
