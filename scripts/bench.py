@@ -9,6 +9,8 @@ each run's stdout, the JSON record.  The file holds:
 
 - meta: perfbench's meta line of the first run (Python version, nproc, git
   commit, PYTHONHASHSEED, src/ line count);
+- tree: the tree the runs measured, as its HEAD commit and whether git
+  status lists changes to it (dirty), or null outside a git checkout;
 - src_lines: the src/ line count;
 - e2e and layers: per workload, each metric's value and unit;
 - verdicts: per workload and run, attempted, failed and correct.
@@ -41,6 +43,20 @@ def perfbench(workload, seed, seconds, trace):
     return meta, json.loads(lines[-1])
 
 
+def measured_tree(root=ROOT):
+    """{"commit": HEAD, "dirty": git status --porcelain lists changes} of
+    the checkout at root, or None when git cannot read one there."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True,
+                              text=True, check=True).stdout
+    try:
+        commit = git("rev-parse", "HEAD").strip()
+        dirty = bool(git("status", "--porcelain").strip())
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return {"commit": commit, "dirty": dirty}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("out", help="the BENCH file to write")
@@ -48,8 +64,8 @@ def main(argv=None):
     p.add_argument("--seconds", type=float, default=15)
     args = p.parse_args(argv)
 
-    doc = {"meta": None, "src_lines": None, "e2e": {}, "layers": {},
-           "verdicts": {}}
+    doc = {"meta": None, "tree": measured_tree(), "src_lines": None,
+           "e2e": {}, "layers": {}, "verdicts": {}}
     for workload in WORKLOADS:
         for trace, part in ((0, "e2e"), (1, "layers")):
             meta, record = perfbench(workload, args.seed, args.seconds, trace)

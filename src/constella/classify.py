@@ -4,17 +4,17 @@ Semigroupoid-side and constellation-side classifiers are computed from
 their own definitions; the agreement between the two sides is a theorem
 that the test-suite checks, never an implementation shortcut.
 
-Each classifier codes its structure by carrier index once per call
-(coded.py) and computes each derived fact from that view once: the left
-and right identity flags, the pseudo-inverse lists, the order rows and the
-plus-components.  Witnesses are named back through the carrier.  The
-public detectors code the table they are given and run the same cores.
+Each classifier reads its structure's stored rows, coded by carrier index
+(coded.py), and computes each derived fact from them once per call: the
+left and right identity flags, the pseudo-inverse lists and the
+plus-components; the order rows come with the corestriction index.
+Witnesses are named back through the carrier.  The public detectors read
+the rows of the table they are given and run the same cores.
 """
 
 from operator import eq
 
-from .coded import _coded, _coded_plus, _components, _positions, _value_rows
-from .core import _coded_structure
+from .coded import _components
 
 __all__ = [
     "ClassificationReport",
@@ -126,10 +126,8 @@ def _meet_semilattice(image, le, components):
 
 def has_right_inverses(t):
     """Every x composes with some w in the constellation to give x+."""
-    position = _positions(t.carrier)
-    val = _value_rows(t.table, position)
-    plus = _coded_plus(t.carrier, t.plus, position)
-    return _right_inverse_check(t.carrier, _constellation_inverses(val, plus))
+    return _right_inverse_check(
+        t.carrier, _constellation_inverses(t.table.rows, t.plus_row))
 
 
 def _constellation_inverses(val, plus):
@@ -140,10 +138,9 @@ def _constellation_inverses(val, plus):
 def classify_constellation(t):
     """All section-level predicates of an ordered constellation."""
     carrier = t.carrier
-    rows = _coded(t)
-    _, val, plus, le, _, _ = rows
-    cores = t._index(rows)
-    image, some, top = cores.image, cores.some, cores.top
+    val, plus = t.table.rows, t.plus_row
+    cores = t._index()
+    image, some, top, le = cores.image, cores.some, cores.top, cores.le
     components = _components(image, le)
     every = range(len(carrier))
     witnesses = {}
@@ -167,11 +164,6 @@ def classify_constellation(t):
         has_right_inverses=right_inv.ok,
         witnesses=witnesses,
     )
-
-
-def _coded_table(table):
-    """The table coded by carrier index, as coded._value_rows gives it."""
-    return _value_rows(table, _positions(table.carrier))
 
 
 def _identity_flags(val):
@@ -219,7 +211,7 @@ def detect_category(table):
     Returns the unique identity acting on each side of every element when
     both exist everywhere.
     """
-    val = _coded_table(table)
+    val = table.rows
     found = _category(val, _identities(val))
     if found is None:
         return CategoryCheck(False)
@@ -231,17 +223,15 @@ def detect_category(table):
 
 def detect_semigroup(table):
     """A semigroup is a table with every pair defined."""
-    n = len(table.carrier)
-    return len(table.comp) == n * n
+    return all(None not in row for row in table.rows)
 
 
 def pseudo_inverses(table, x):
     """All w with xwx = x and wxw = w (all intermediate pairs defined)."""
-    position = _positions(table.carrier)
-    if x not in position:
+    carrier = table.carrier
+    if x not in carrier:
         return []
-    found = _pseudo_inverses(_coded_table(table), position[x])
-    return [table.carrier[w] for w in found]
+    return [carrier[w] for w in _pseudo_inverses(table.rows, carrier.index(x))]
 
 
 def _pseudo_inverses(val, x):
@@ -268,7 +258,7 @@ def detect_inverse_semigroupoid(table):
     disagreement would mean one of the two checkers is wrong, so it raises.
     Both read the one list of pseudo-inverses of each element.
     """
-    return _inverse_check(table.carrier, _coded_table(table))
+    return _inverse_check(table.carrier, table.rows)
 
 
 def _inverse_check(carrier, val):
@@ -293,9 +283,10 @@ def _inverse_check(carrier, val):
 
 def derive_plus_from_inverses(table, inverse):
     """The plus map x -> x x^{-1} induced by an inverse structure."""
+    comp = table.comp
     plus = {}
     for x in table.carrier:
-        value = table.comp.get((x, inverse[x]))
+        value = comp.get((x, inverse[x]))
         if value is None:
             raise ValueError(f"{x!r} does not compose with its inverse")
         plus[x] = value
@@ -309,7 +300,7 @@ def classify_semigroupoid(s):
     the table: some w with x w+ = x and x w = x+.
     """
     carrier = s.carrier
-    _, val, plus = _coded_structure(s)
+    val, plus = s.table.rows, s.plus_row
     every = range(len(val))
     left, right = _identity_flags(val)
     identities = [e for e in every if left[e] and right[e]]

@@ -1,13 +1,15 @@
-"""Structures coded by carrier index, as the axiom generators read them.
+"""The coded form in which every structure is stored, and what is derived
+from it.
 
 The elements of a carrier are numbered by their position in it.  A table
-is coded as rows of value indices (val[a][b], None where the product is
-undefined), a plus map as a list of indices, and an order as boolean rows
-(le[x][y] when x <= y) with up-lists and down-lists in index order.  Each
-checker builds this view once per check and names the witnesses back
-through the carrier (core._named_report); the census builds it directly
-on indices.  A constellation's corestriction index is kept in the same
-coding (_Index).
+is stored as rows of value indices (val[a][b], None where the product is
+undefined), a plus map as a tuple of indices, and an order as up-lists
+(up[x], the y >= x in index order).  The axiom generators, functors and
+classifiers read these fields and name their witnesses back through the
+carrier (core._named_report); the labelled comp, plus and order are views
+built from them on each access.  From the up-lists come the boolean rows
+(le[x][y] when x <= y) and the down-lists, which a constellation keeps
+with its corestriction index (_Index), built on first use.
 """
 
 
@@ -16,14 +18,55 @@ def _positions(carrier):
     return {x: i for i, x in enumerate(carrier)}
 
 
-def _value_rows(table, position):
-    """The table's values as rows of carrier indices: val[a][b] is the index
-    of the product of the elements at a and b, None where it is undefined."""
-    n = len(table.carrier)
+def _comp_rows(carrier, comp):
+    """(carrier, rows): a labelled table checked and coded by carrier
+    index, as PartialTable stores it."""
+    carrier = tuple(carrier)
+    if not carrier:
+        raise ValueError("carrier must be nonempty")
+    position = _positions(carrier)
+    if len(position) != len(carrier):
+        raise ValueError("carrier ids must be distinct")
+    cells = []
+    for (a, b), c in dict(comp).items():
+        cell = position.get(a), position.get(b), position.get(c)
+        if None in cell:
+            raise ValueError(f"comp entry {(a, b, c)!r} leaves the carrier")
+        cells.append((cell[:2], cell[2]))
+    return carrier, _table_rows(len(carrier), cells)
+
+
+def _plus_row(carrier, plus):
+    """A labelled plus map checked total on the carrier with image inside
+    it, and coded by carrier index: a tuple of indices, as the structures
+    store it."""
+    plus = dict(plus)
+    position = _positions(carrier)
+    if plus.keys() != position.keys():
+        raise ValueError("plus must be total on the carrier")
+    if not all(e in position for e in plus.values()):
+        raise ValueError("plus image leaves the carrier")
+    return tuple([position[plus[x]] for x in carrier])
+
+
+def _up_lists(carrier, order):
+    """The up-lists of an order given by its pairs, checked inside the
+    carrier, as a constellation stores them."""
+    position = _positions(carrier)
+    for a, b in order:
+        if a not in position or b not in position:
+            raise ValueError(f"order pair {(a, b)!r} leaves the carrier")
+    return _order_rows(((position[a], position[b]) for a, b in order),
+                       len(position))[1]
+
+
+def _table_rows(n, cells):
+    """The value rows of a table on n elements from its cells ((a, b), v),
+    in carrier indices: val[a][b] is v, None where no cell is given."""
     val = [[None] * n for _ in range(n)]
-    for (a, b), c in table.comp.items():
-        val[position[a]][position[b]] = position[c]
-    return val
+    for (a, b), v in cells:
+        val[a][b] = v
+    return tuple([tuple(row) for row in val])
 
 
 def _defined_rows(val):
@@ -31,35 +74,24 @@ def _defined_rows(val):
     return [[v is not None for v in row] for row in val]
 
 
-def _coded_plus(carrier, plus, position):
-    """The plus map as a list of carrier indices, in carrier order."""
-    return [position[plus[x]] for x in carrier]
-
-
-def _coded(t):
-    """The constellation t coded by carrier index, as the axiom generators
-    read it: (position, val, plus, le, up, down), with position its
-    element -> index map, val and plus as _value_rows and _coded_plus give
-    them, and the order as _order_rows gives it."""
-    position = _positions(t.carrier)
-    order = ((position[a], position[b]) for a, b in t.order)
-    return (position, _value_rows(t.table, position),
-            _coded_plus(t.carrier, t.plus, position),
-            *_order_rows(order, len(position)))
-
-
 def _order_rows(pairs, n):
     """(le, up, down) for an order on range(n) given by its pairs, each
-    once: le[x][y] is true when x <= y, up[x] lists the y >= x and down[x]
-    the y <= x, in index order."""
-    le = [[False] * n for _ in range(n)]
+    once, with up as a constellation stores it (a tuple of tuples)."""
     up = [[] for _ in range(n)]
-    down = [[] for _ in range(n)]
     for a, b in sorted(pairs):
-        le[a][b] = True
         up[a].append(b)
-        down[b].append(a)
-    return le, up, down
+    up = tuple([tuple(above) for above in up])
+    return _le_rows(up), up, _down_lists(up)
+
+
+def _le_rows(up):
+    """The boolean rows of an order given by its up-lists: le[x][y] is true
+    when x <= y."""
+    le = [[False] * len(up) for _ in up]
+    for row, above in zip(le, up):
+        for y in above:
+            row[y] = True
+    return le
 
 
 def _down_lists(up):
@@ -72,22 +104,26 @@ def _down_lists(up):
 
 
 class _Index:
-    """A constellation's corestriction index, coded by carrier index.
+    """A constellation's corestriction index, coded by carrier index, with
+    the order rows it is built from.
 
     For e in T+ and x in T: some[e][x] is true when x|e has candidates,
     the y <= x with ye defined, and top[e][x] is their maximum, None when
     there is none.  Both hold a row for each e in T+ only, as the wo checks
-    read them; image lists T+ in index order, and position maps each
-    element to its index.
+    read them; image lists T+ in index order, position maps each element
+    to its index, and le and down are the order's boolean rows and
+    down-lists.
     """
 
-    __slots__ = ("position", "image", "top", "some")
+    __slots__ = ("position", "image", "top", "some", "le", "down")
 
-    def __init__(self, position, image, top, some):
+    def __init__(self, position, image, top, some, le, down):
         self.position = position
         self.image = image
         self.top = top
         self.some = some
+        self.le = le
+        self.down = down
 
 
 def _corestriction_index(position, val, plus, le, down):
@@ -106,7 +142,7 @@ def _corestriction_index(position, val, plus, le, down):
             if cands:
                 some_e[x] = True
                 top_e[x] = _maximum(le, cands)
-    return _Index(position, image, top, some)
+    return _Index(position, image, top, some, le, down)
 
 
 def _maximum(le, elements):

@@ -1,16 +1,18 @@
 """Left constellations and the locally inductive axioms.
 
 An OrderedConstellation carries a partial table (its composition), a total
-plus map and an explicit partial order.  Restriction is computed by scan
-with a uniqueness assertion.  Corestriction is the maximum of an explicit
-candidate set, so a missing maximum is a first-class diagnostic rather than
-an exception during enumeration filtering.
+plus map and an explicit partial order, all stored coded by carrier index.
+Restriction is computed by scan with a uniqueness assertion.
+Corestriction is the maximum of an explicit candidate set, so a missing
+maximum is a first-class diagnostic rather than an exception during
+enumeration filtering.
 
 Each constellation builds one corestriction index on first use, coded by
 carrier index (coded._Index): for every x in T and e in T+, whether x|e
-has candidates and their maximum.  The wo checks, pseudo-product, meets,
-build_G, the classifiers and the radiant checks read it directly, and
-corestrictions() gives its labelled view.
+has candidates and their maximum, with the order's rows.  The wo checks,
+restriction, pseudo-product, meets, build_G, the classifiers and the
+radiant checks read it directly, and corestrictions() gives its labelled
+view.
 
 Each axiom family is one lazy violation generator: the reporting checkers
 collect it, and the census stops it at the first violation (core.holds).
@@ -19,14 +21,14 @@ collect it, and the census stops it at the first violation (core.holds).
 from itertools import chain, product
 
 from .coded import (
-    _coded,
-    _coded_plus,
     _components,
     _corestriction_index,
     _defined_rows,
-    _order_rows,
+    _down_lists,
+    _le_rows,
+    _plus_row,
     _positions,
-    _value_rows,
+    _up_lists,
 )
 from .core import _PlusStructure, _check_partial_order, _named_report
 
@@ -116,51 +118,49 @@ class OrderedConstellation(_PlusStructure):
 
     The constructor validates shape and that ``order`` is a partial order;
     the constellation and locally-inductive axioms are separate checks.
+    The order is stored as up-lists, ``order`` being their labelled view:
+    up[x] holds the indices of the y >= x in index order.  core._from_rows
+    takes them only from callers that have proved them a partial order:
+    the census builds its candidate orders that way, build_C takes the
+    natural order its core has checked (it raises InvalidOrderError when
+    that is not one), and parse_structure checks every order line against
+    the carrier, closes them and rejects cycles.
     """
 
-    __slots__ = ("order", "_cores", "_components")
+    __slots__ = ("up", "_cores", "_components")
 
     def __init__(self, table, plus, order):
-        super().__init__(table, plus)
-        members = set(table.carrier)
+        plus_row = _plus_row(table.carrier, plus)
         order = frozenset(order)
-        for a, b in order:
-            if a not in members or b not in members:
-                raise ValueError(f"order pair {(a, b)!r} leaves the carrier")
+        up = _up_lists(table.carrier, order)
         problem = _check_partial_order(order, table.carrier)
         if problem is not None:
             raise ValueError(f"order is not a partial order: {problem}")
-        self._keep_order(order)
+        self._keep(table, plus_row, up)
 
-    @classmethod
-    def _trusted(cls, table, plus, order):
-        """The constellation the constructor would build, without its order
-        checks (every pair inside the carrier, a partial order).
-
-        Only for callers that have just proved ``order`` a partial order on
-        the carrier: the census builds its candidate orders that way,
-        build_C takes the natural order its core has checked (it raises
-        InvalidOrderError when that is not one), and parse_structure checks
-        every order line against the carrier, closes them and rejects
-        cycles.  The plus map is still checked for shape."""
-        t = cls.__new__(cls)
-        _PlusStructure.__init__(t, table, plus)
-        t._keep_order(frozenset(order))
-        return t
-
-    def _keep_order(self, order):
-        object.__setattr__(self, "order", order)
+    def _keep(self, table, plus_row, up):
+        super()._keep(table, plus_row)
+        object.__setattr__(self, "up", up)
         object.__setattr__(self, "_cores", None)
         object.__setattr__(self, "_components", None)
 
-    def _index(self, rows=None):
-        """The corestriction index (_Index), built on first use from rows,
-        the coded view _coded(self), and kept, since the structure is
-        immutable."""
+    @property
+    def order(self):
+        """The order as a frozenset of pairs (a, b) with a <= b: a new set
+        built from the up-lists on each access."""
+        c = self.carrier
+        return frozenset((c[a], c[b]) for a, above in enumerate(self.up)
+                         for b in above)
+
+    def _index(self):
+        """The corestriction index (_Index), built on first use and kept,
+        since the structure is immutable."""
         cores = self._cores
         if cores is None:
-            position, val, plus, le, _, down = rows or _coded(self)
-            cores = _corestriction_index(position, val, plus, le, down)
+            up = self.up
+            cores = _corestriction_index(
+                _positions(self.carrier), self.table.rows, self.plus_row,
+                _le_rows(up), _down_lists(up))
             object.__setattr__(self, "_cores", cores)
         return cores
 
@@ -177,34 +177,29 @@ class OrderedConstellation(_PlusStructure):
         the maximum is None when the component has none."""
         components = self._components
         if components is None:
-            position = _positions(self.carrier)
-            le = _order_rows(((position[a], position[b]) for a, b in self.order),
-                             len(position))[0]
-            image = sorted({position[e] for e in self.plus.values()})
+            cores = self._index()
             name = self.carrier.__getitem__
             components = tuple(
                 (tuple(map(name, group)), None if top is None else name(top))
-                for group, top in _components(image, le))
+                for group, top in _components(cores.image, cores.le))
             object.__setattr__(self, "_components", components)
         return components
 
     def validate(self):
-        rows = _coded(self)
-        return check_constellation(self, rows).merged(
-            check_locally_inductive(self, rows))
+        return check_constellation(self).merged(check_locally_inductive(self))
 
     def __eq__(self, other):
         return (
             isinstance(other, OrderedConstellation)
             and self.table == other.table
-            and self.plus == other.plus
-            and self.order == other.order
+            and self.plus_row == other.plus_row
+            and self.up == other.up
         )
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.table, frozenset(self.plus.items()), self.order))
+            h = hash((self.table, self.plus_row, self.up))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -223,23 +218,18 @@ def _result(t, cores, x, e):
     return CorestrictionResult.of(t.carrier[m])
 
 
-def check_constellation(t, rows=None):
+def check_constellation(t):
     """Check c1-c4.
 
     c1: xy and yz are both defined iff yz and x(yz) are.
     c2: if xy and yz are defined then (xy)z is, and x(yz) = (xy)z.
     c3: for e in T+: ex defined with ex = x iff e = x+.
     c4: for e in T+: xe defined implies xe = x.
-
-    rows, the coded view _coded(t), saves coding t.
     """
-    if rows is None:
-        position = _positions(t.carrier)
-        rows = (position, _value_rows(t.table, position),
-                _coded_plus(t.carrier, t.plus, position))
-    val, plus = rows[1], rows[2]
+    val = t.table.rows
     return _named_report(t.carrier, chain(
-        _c12_violations(_defined_rows(val), val), _c34_violations(val, plus)))
+        _c12_violations(_defined_rows(val), val),
+        _c34_violations(val, t.plus_row)))
 
 
 def _c12_violations(D, val, rows=None):
@@ -305,9 +295,12 @@ def _c34_violations(val, plus):
 
 def corestriction_candidates(t, x, e):
     """The set { y : y <= x and ye is defined }, in carrier order."""
-    return tuple(
-        y for y in t.carrier if (y, x) in t.order and (y, e) in t.table.comp
-    )
+    cores = t._index()
+    i, k = cores.position.get(x), cores.position.get(e)
+    if i is None or k is None:
+        return ()
+    val = t.table.rows
+    return tuple(t.carrier[y] for y in cores.down[i] if val[y][k] is not None)
 
 
 def corestriction(t, x, e):
@@ -327,22 +320,24 @@ def restriction(t, e, x):
 
     Found by scan so the closed form (e|x = ex) stays a testable theorem.
     """
-    image = set(t.plus.values())
-    if e not in image or (e, t.plus[x]) not in t.order:
+    cores = t._index()
+    position, plus = cores.position, t.plus_row
+    k = position.get(e)
+    if k not in cores.image or not cores.le[k][plus[position[x]]]:
         raise NotApplicableError(f"restriction of {x!r} to {e!r} not applicable")
-    found = [y for y in t.carrier if (y, x) in t.order and t.plus[y] == e]
+    found = [y for y in cores.down[position[x]] if plus[y] == k]
     if len(found) != 1:
         raise NonUniqueError(f"{len(found)} candidates for {e!r}|{x!r}")
-    return found[0]
+    return t.carrier[found[0]]
 
 
 def pseudo_product(t, a, b):
     """(a|b+) b, or None when the corestriction or the pair is missing."""
     cores = t._index()
-    m = cores.top[cores.position[t.plus[b]]][cores.position[a]]
-    if m is None:
-        return None
-    return t.table.comp.get((t.carrier[m], b))
+    j = cores.position[b]
+    m = cores.top[t.plus_row[j]][cores.position[a]]
+    v = None if m is None else t.table.rows[m][j]
+    return None if v is None else t.carrier[v]
 
 
 def plus_components(t):
@@ -352,17 +347,17 @@ def plus_components(t):
 
 def meet(t, e, f):
     """Meet of two plus-elements via corestriction; None across components."""
-    image = set(t.plus.values())
-    if e not in image or f not in image:
+    cores = t._index()
+    i, k = cores.position.get(e), cores.position.get(f)
+    if i not in cores.image or k not in cores.image:
         raise NotApplicableError("meet is defined on T+ only")
     if not any(e in group and f in group for group, _ in t.components()):
         return None
-    cores = t._index()
-    m = cores.top[cores.position[f]][cores.position[e]]
+    m = cores.top[k][i]
     return None if m is None else t.carrier[m]
 
 
-def check_locally_inductive(t, rows=None):
+def check_locally_inductive(t):
     """Check wo1-wo9 for an ordered constellation.
 
     wo1: x <= y, x2 <= y2 with xx2 and yy2 defined imply xx2 <= yy2.
@@ -379,13 +374,13 @@ def check_locally_inductive(t, rows=None):
     entry (x, e): the maximum of its candidates, the y <= x with ye
     defined; it is nonempty when it has candidates.  The existence guards
     are tested on the candidate sets, so each axiom is decided
-    independently of wo4.  rows, the coded view _coded(t), saves coding t.
+    independently of wo4.
     """
-    rows = rows or _coded(t)
-    _, val, plus, le, up, down = rows
+    cores = t._index()
+    val, plus = t.table.rows, t.plus_row
     return _named_report(t.carrier, chain(
-        _order_violations(val, plus, le, up),
-        _index_violations(val, plus, le, down, t._index(rows))))
+        _order_violations(val, plus, cores.le, t.up),
+        _index_violations(val, plus, cores.le, cores.down, cores)))
 
 
 def _order_violations(val, plus, le, up):

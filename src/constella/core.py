@@ -1,18 +1,23 @@
 """Finite partial composition tables and the left restriction axioms.
 
-Structures live on a small finite carrier.  Composition is a partial map
-stored explicitly: a pair is either a key of ``comp`` with its value, or
-it is absent.  Nothing here ever encodes "undefined" as a carrier element.
+Structures live on a small finite carrier and are stored coded by carrier
+index (coded.py), the one stored form: a table as rows of value indices,
+None where a pair is undefined, and a plus map as a tuple of indices.  The
+public constructors check their labelled input and code it once;
+_from_rows stores rows the caller has built in index space (the census,
+the functors, the parser).  The labelled ``comp``, ``defined`` and
+``plus`` are views built from the rows on each access, so changing one
+changes no structure.  Nothing here ever encodes "undefined" as a carrier
+element.
 
-Every axiom checker runs its generator on the structure coded by carrier
-index, built once per check, and names the witnesses back through the
-carrier (_named_report).
+Every axiom checker runs its generator on the stored rows and names the
+witnesses back through the carrier (_named_report).
 """
 
 from itertools import compress, product, repeat
 from operator import eq
 
-from .coded import _coded_plus, _defined_rows, _positions, _value_rows
+from .coded import _comp_rows, _defined_rows, _plus_row
 
 __all__ = [
     "PartialTable",
@@ -86,42 +91,33 @@ class ValidationReport:
 class PartialTable:
     """A carrier together with a partial binary operation.
 
-    ``carrier`` is an ordered tuple of distinct element ids; ``comp`` maps
-    exactly the defined pairs, stored nowhere else, to carrier elements.
-    Immutable; equality and hash are literal (same carrier, same table).
+    ``carrier`` is an ordered tuple of distinct element ids; ``rows``, the
+    one stored form, holds the table coded by carrier index: rows[a][b] is
+    the index of the product of the elements at a and b, None where the
+    pair is undefined.  ``comp`` and ``defined`` are labelled views of it.
+    Immutable; equality and hash are literal (same carrier, same rows).
     """
 
-    __slots__ = ("carrier", "comp", "_hash")
+    __slots__ = ("carrier", "rows", "_hash")
 
     def __init__(self, carrier, comp):
-        carrier = tuple(carrier)
-        if not carrier:
-            raise ValueError("carrier must be nonempty")
-        if len(set(carrier)) != len(carrier):
-            raise ValueError("carrier ids must be distinct")
-        comp = dict(comp)
-        members = set(carrier)
-        for (a, b), c in comp.items():
-            if a not in members or b not in members or c not in members:
-                raise ValueError(f"comp entry {(a, b, c)!r} leaves the carrier")
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "comp", comp)
-        object.__setattr__(self, "_hash", None)
+        self._keep(*_comp_rows(carrier, comp))
 
-    @classmethod
-    def _trusted(cls, carrier, comp):
-        """The table the constructor would build, without its checks: only
-        for a carrier that is a tuple of distinct elements and a new comp
-        dict whose pairs and values lie in it, as in a table labelled from
-        carrier indices."""
-        t = cls.__new__(cls)
-        object.__setattr__(t, "carrier", carrier)
-        object.__setattr__(t, "comp", comp)
-        object.__setattr__(t, "_hash", None)
-        return t
+    def _keep(self, carrier, rows):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PartialTable is immutable")
+
+    @property
+    def comp(self):
+        """{(a, b): ab} over the defined pairs, in carrier order: a new dict
+        built from the rows on each access."""
+        c = self.carrier
+        return {(c[a], c[b]): c[v] for a, row in enumerate(self.rows)
+                for b, v in enumerate(row) if v is not None}
 
     def product(self, a, b):
         """Value of a*b, or None when the pair is undefined."""
@@ -129,7 +125,7 @@ class PartialTable:
 
     @property
     def defined(self):
-        """The defined pairs, as a frozenset built from comp."""
+        """The defined pairs, as a frozenset built from the rows."""
         return frozenset(self.comp)
 
     def is_defined(self, a, b):
@@ -139,33 +135,38 @@ class PartialTable:
         return (
             isinstance(other, PartialTable)
             and self.carrier == other.carrier
-            and self.comp == other.comp
+            and self.rows == other.rows
         )
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.carrier, frozenset(self.comp.items())))
+            h = hash((self.carrier, self.rows))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __repr__(self):
-        return f"PartialTable({list(self.carrier)!r}, {len(self.comp)} pairs)"
+        pairs = sum(len(row) - row.count(None) for row in self.rows)
+        return f"PartialTable({list(self.carrier)!r}, {pairs} pairs)"
 
 
 class _PlusStructure:
-    """A partial table with a total unary ``plus`` map on its carrier: the
+    """A partial table with a total unary plus map on its carrier: the
     immutable shape shared by semigroupoids and constellations.
 
-    The constructor checks only shape (plus total, image inside carrier).
+    ``plus_row`` stores the map coded by carrier index (plus_row[x] is the
+    index of x+), and ``plus`` is its labelled view.  The constructor
+    checks only shape (plus total, image inside carrier).
     """
 
-    __slots__ = ("table", "plus", "_hash")
+    __slots__ = ("table", "plus_row", "_hash")
 
     def __init__(self, table, plus):
-        plus = _plus_map(table.carrier, plus)
+        self._keep(table, _plus_row(table.carrier, plus))
+
+    def _keep(self, table, plus_row):
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "plus_row", plus_row)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -175,21 +176,30 @@ class _PlusStructure:
     def carrier(self):
         return self.table.carrier
 
+    @property
+    def plus(self):
+        """{x: x+}: a new dict built from plus_row on each access."""
+        c = self.carrier
+        return {x: c[e] for x, e in zip(c, self.plus_row)}
+
     def plus_image(self):
         """S^+, in carrier order."""
-        image = set(self.plus.values())
-        return tuple(filter(image.__contains__, self.carrier))
+        return tuple([self.carrier[e] for e in sorted(set(self.plus_row))])
 
 
-def _plus_map(carrier, plus):
-    """plus as a dict, checked total on the carrier with image inside it."""
-    plus = dict(plus)
-    members = set(carrier)
-    if set(plus) != members:
-        raise ValueError("plus must be total on the carrier")
-    if not set(plus.values()) <= members:
-        raise ValueError("plus image leaves the carrier")
-    return plus
+def _from_rows(cls, *fields):
+    """The cls (a table or a structure) stored as fields, the arguments of
+    its _keep, without its constructor's checks.
+
+    Only for fields built in index space by a caller that has checked them
+    or derived them from a checked structure: a tuple of distinct elements
+    and a tuple of tuples of their indices or None (a table), a table and
+    a tuple of carrier indices (plus), and for a constellation the
+    up-lists (tuples) of a partial order.
+    """
+    x = cls.__new__(cls)
+    x._keep(*fields)
+    return x
 
 
 class LeftRestrictionSemigroupoid(_PlusStructure):
@@ -201,10 +211,8 @@ class LeftRestrictionSemigroupoid(_PlusStructure):
     __slots__ = ()
 
     def validate(self):
-        rows = _coded_structure(self)
-        return check_semigroupoid(self.table, rows).merged(
-            check_left_restriction(self.table, self.plus, rows)
-        )
+        return check_semigroupoid(self.table).merged(
+            check_left_restriction(self.table, self.plus))
 
     @classmethod
     def checked(cls, table, plus):
@@ -218,13 +226,13 @@ class LeftRestrictionSemigroupoid(_PlusStructure):
         return (
             isinstance(other, LeftRestrictionSemigroupoid)
             and self.table == other.table
-            and self.plus == other.plus
+            and self.plus_row == other.plus_row
         )
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.table, frozenset(self.plus.items())))
+            h = hash((self.table, self.plus_row))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -232,14 +240,7 @@ class LeftRestrictionSemigroupoid(_PlusStructure):
         return f"LeftRestrictionSemigroupoid({list(self.carrier)!r})"
 
 
-def _coded_structure(s):
-    """(position, val, plus): the semigroupoid s coded by carrier index."""
-    position = _positions(s.carrier)
-    return (position, _value_rows(s.table, position),
-            _coded_plus(s.carrier, s.plus, position))
-
-
-def check_semigroupoid(t, rows=None):
+def check_semigroupoid(t):
     """Check the closure-style associativity of a partial table.
 
     For a triple (s, x, r) the law triggers when any of these holds:
@@ -249,10 +250,9 @@ def check_semigroupoid(t, rows=None):
       s3: xr and s(xr) are defined.
 
     A triggered triple must have all four pairs defined with
-    (sx)r = s(xr).  Every failing (clause, triple) is reported.  rows, a
-    structure on t coded as _coded_structure gives it, saves coding t.
+    (sx)r = s(xr).  Every failing (clause, triple) is reported.
     """
-    val = _value_rows(t, _positions(t.carrier)) if rows is None else rows[1]
+    val = t.rows
     return _named_report(t.carrier, _s_violations(_defined_rows(val), val))
 
 
@@ -260,9 +260,9 @@ def _named_report(carrier, found):
     """The report of the coded violations found, each (axiom, witness) with
     a witness of carrier indices, named back through the carrier.
 
-    Every axiom generator runs on its structure coded by carrier index
-    (see coded), which is exact.  The axioms compare elements only for equality,
-    definedness, plus and order, and name no label (see
+    Every axiom generator runs on its structure's rows, coded by carrier
+    index (see coded), which is exact.  The axioms compare elements only
+    for equality, definedness, plus and order, and name no label (see
     tables._tables), so the index bijection maps the failing instances
     of the coded structure onto those of the structure itself.  Every
     generator visits elements and pairs in index order, which is carrier
@@ -319,7 +319,7 @@ def _s_violations(D, val, rows=None):
                     yield axiom, (s, x, r)
 
 
-def check_left_restriction(t, plus, rows=None):
+def check_left_restriction(t, plus):
     """Check lr1-lr4 for a table plus a total unary map.
 
     lr1: s+ s defined and equal to s.
@@ -327,16 +327,10 @@ def check_left_restriction(t, plus, rows=None):
     lr3: e t defined implies e t+ defined and (e t)+ = e t+  (e in S+).
     lr4: s t defined implies s t+ and (s t)+ s defined with s t+ = (s t)+ s.
 
-    rows, the structure (t, plus) coded as _coded_structure gives it, is
-    read instead of coding t and plus; without it the plus map is first
-    checked for shape.
+    The plus map, a mapping, is first checked for shape and coded.
     """
-    if rows is None:
-        plus = _plus_map(t.carrier, plus)
-        position = _positions(t.carrier)
-        rows = (position, _value_rows(t, position),
-                _coded_plus(t.carrier, plus, position))
-    return _named_report(t.carrier, _lr_violations(rows[1], rows[2]))
+    return _named_report(
+        t.carrier, _lr_violations(t.rows, _plus_row(t.carrier, plus)))
 
 
 def holds(violations):
@@ -425,8 +419,7 @@ def natural_order(s):
     Raises InvalidOrderError if the result is not a partial order, which
     cannot happen once the lr axioms hold; it flags a checker bug.
     """
-    _, val, plus = _coded_structure(s)
-    up = _natural_rows(s.carrier, val, plus)[1]
+    up = _natural_rows(s.carrier, s.table.rows, s.plus_row)[1]
     name = s.carrier.__getitem__
     return frozenset((name(a), name(b))
                      for a, above in enumerate(up) for b in above)
@@ -439,7 +432,7 @@ def _natural_rows(carrier, val, plus):
     it is not a partial order."""
     every = range(len(val))
     le = [list(map(eq, val[e], repeat(a))) for a, e in enumerate(plus)]
-    up = [list(compress(every, row)) for row in le]
+    up = tuple([tuple(list(compress(every, row))) for row in le])
     problem = _order_rows_problem(carrier, le, up)
     if problem is not None:
         raise InvalidOrderError(problem)
@@ -463,19 +456,28 @@ def natural_order_by_witness(s):
 
 def idempotents(t):
     """Elements x with xx defined and xx = x, in carrier order."""
-    return tuple(x for x in t.carrier if t.comp.get((x, x)) == x)
+    return tuple(x for i, (x, row) in enumerate(zip(t.carrier, t.rows))
+                 if row[i] == i)
 
 
 def is_left_identity(t, x):
-    if t.comp.get((x, x)) != x:
-        return False
-    return all(t.comp[(x, s)] == s for s in t.carrier if (x, s) in t.comp)
+    """xx = x, and xs = s wherever xs is defined."""
+    return _acts_as_identity(t.carrier, t.rows, x)
 
 
 def is_right_identity(t, x):
-    if t.comp.get((x, x)) != x:
+    """xx = x, and sx = s wherever sx is defined."""
+    return _acts_as_identity(t.carrier, tuple(zip(*t.rows)), x)
+
+
+def _acts_as_identity(carrier, rows, x):
+    """x is in the carrier, xx = x, and each entry of the row of x in rows
+    is s at s or None."""
+    if x not in carrier:
         return False
-    return all(t.comp[(s, x)] == s for s in t.carrier if (s, x) in t.comp)
+    i = carrier.index(x)
+    return rows[i][i] == i and \
+        all(v is None or v == s for s, v in enumerate(rows[i]))
 
 
 def identity_kind(t, x):

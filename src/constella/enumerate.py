@@ -11,8 +11,8 @@ yielded before; enumerate_semigroupoids keeps the unpruned search.  The
 remaining axioms are decided by the same generators the reporting
 checkers collect, stopped at the first violation.  The whole search runs
 on carrier indices, on the coded tables, plus maps and orders those
-generators read; labels are attached only to the tables and structures it
-yields.
+generators read, and each structure it yields stores them as they are
+(_from_rows), with one table shared by the structures on it.
 
 On the constellation side the order is built from the (table, plus) pair
 rather than searched among all partial orders (_candidate_orders).  The
@@ -35,18 +35,14 @@ from .constellation import (
 )
 from .core import (
     LeftRestrictionSemigroupoid,
+    PartialTable,
     _check_partial_order,
+    _from_rows,
     _lr_violations,
     _s_violations,
     holds,
 )
-from .tables import (
-    CapExceededError,
-    _labelled_table,
-    _table_codes,
-    _table_rows,
-    _tables,
-)
+from .tables import CapExceededError, _table_codes, _tables
 
 __all__ = [
     "CapExceededError",
@@ -113,10 +109,6 @@ def _plus_maps(val):
                      for x in every))
 
 
-def _labelled_plus(carrier, plus):
-    return {x: carrier[e] for x, e in zip(carrier, plus)}
-
-
 def enumerate_semigroupoids(n, cap=None):
     """All partial tables on n labels satisfying closure-associativity."""
     _check_cap(n, cap)
@@ -126,19 +118,17 @@ def enumerate_semigroupoids(n, cap=None):
 def enumerate_lr_semigroupoids(n, cap=None):
     """All left restriction semigroupoids on n labels.
 
-    The search runs on carrier indices; labels are attached only to the
-    tables and structures it yields."""
+    The search runs on carrier indices, and the structures it yields store
+    its rows and plus maps as they are."""
     _check_cap(n, cap)
     carrier = carrier_labels(n)
-    for keys, defined, values in _table_codes(carrier, _s_violations, True):
-        val = _table_rows(n, defined, values)
+    for val in _table_codes(carrier, _s_violations, True):
         table = None
         for plus in _plus_maps(val):
             if holds(_lr_violations(val, plus)):
                 if table is None:
-                    table = _labelled_table(carrier, keys, values)
-                yield LeftRestrictionSemigroupoid(
-                    table, _labelled_plus(carrier, plus))
+                    table = _from_rows(PartialTable, carrier, val)
+                yield _from_rows(LeftRestrictionSemigroupoid, table, plus)
 
 
 def all_partial_orders(carrier):
@@ -171,10 +161,7 @@ def enumerate_li_constellations(n, cap=None):
     _check_cap(n, cap)
     carrier = carrier_labels(n)
     position = _positions(carrier)
-    pair = [[(x, y) for y in carrier] for x in carrier]
-    for keys, defined, values in _table_codes(carrier, _c12_violations,
-                                              True):
-        val = _table_rows(n, defined, values)
+    for val in _table_codes(carrier, _c12_violations, True):
         table = None
         for plus in _plus_maps(val):
             if not holds(_c34_violations(val, plus)):
@@ -187,10 +174,8 @@ def enumerate_li_constellations(n, cap=None):
                 if not holds(_index_violations(val, plus, le, down, cores)):
                     continue
                 if table is None:
-                    table = _labelled_table(carrier, keys, values)
-                yield OrderedConstellation._trusted(
-                    table, _labelled_plus(carrier, plus),
-                    (pair[a][b] for a, b in order))
+                    table = _from_rows(PartialTable, carrier, val)
+                yield _from_rows(OrderedConstellation, table, plus, up)
 
 
 def _candidate_orders(val, plus):
@@ -267,14 +252,16 @@ def canonical_form(structure):
     carrier = structure.carrier
     if len(carrier) > 8:
         raise CapExceededError("isomorphism search capped at 8 elements")
-    comp = getattr(structure, "table", structure).comp.items()
-    plus = getattr(structure, "plus", {}).items()
-    order = getattr(structure, "order", ())
+    rows = getattr(structure, "table", structure).rows
+    cells = [(a, b, v) for a, row in enumerate(rows)
+             for b, v in enumerate(row) if v is not None]
+    plus = tuple(enumerate(getattr(structure, "plus_row", ())))
+    order = [(a, b) for a, above in enumerate(getattr(structure, "up", ()))
+             for b in above]
 
-    def encoded(image):
-        p = dict(zip(carrier, image))
+    def encoded(p):
         return (
-            tuple(sorted((p[a], p[b], p[c]) for (a, b), c in comp)),
+            tuple(sorted((p[a], p[b], p[c]) for a, b, c in cells)),
             tuple(sorted((p[x], p[e]) for x, e in plus)),
             tuple(sorted((p[a], p[b]) for a, b in order)),
         )

@@ -5,25 +5,20 @@ build_C turns a left restriction semigroupoid into an ordered constellation
 build_G goes back via the pseudo-product.  Carrier labels are preserved
 verbatim so the round trips are literal equalities, not isomorphisms.
 
-Each functor is one core on structures coded by carrier index (coded.py):
+Each functor is one core on the stored rows of a structure (coded.py):
 _c_rows gives the composable-pair rows and the natural-order rows, _g_rows
 the pseudo-product rows, read from the corestriction index.  build_C and
-build_G label their core's output; roundtrip_check runs the two cores back
-to back and compares rows, with no labelled structure in between.
+build_G store their core's output as it is, with the plus tuple shared;
+roundtrip_check runs the two cores back to back and compares rows, with no
+structure in between.
 """
 
-from .coded import (
-    _coded,
-    _coded_plus,
-    _corestriction_index,
-    _down_lists,
-    _value_rows,
-)
+from .coded import _corestriction_index, _down_lists, _positions
 from .constellation import OrderedConstellation
 from .core import (
     LeftRestrictionSemigroupoid,
     PartialTable,
-    _coded_structure,
+    _from_rows,
     _natural_rows,
 )
 
@@ -43,8 +38,8 @@ class RoundTripReport:
 
 def _c_rows(carrier, val, plus):
     """build_C's core on a semigroupoid coded by carrier index: (comp, le,
-    up), comp[s][t] = st where s t+ = s (else None) and the natural order
-    as core._natural_rows gives it.
+    up), comp[s][t] = st where s t+ = s (else None), as a tuple of tuples,
+    and the natural order as core._natural_rows gives it.
 
     Raises KeyError for a pair s, t with s t+ = s and st undefined, named
     through the carrier as a lookup of the labelled table would, and
@@ -58,14 +53,14 @@ def _c_rows(carrier, val, plus):
                 if row[t] is None:
                     raise KeyError((carrier[s], carrier[t]))
                 out[t] = row[t]
-        comp.append(out)
-    return (comp, *_natural_rows(carrier, val, plus))
+        comp.append(tuple(out))
+    return (tuple(comp), *_natural_rows(carrier, val, plus))
 
 
 def _g_rows(carrier, val, plus, cores):
     """build_G's core on a constellation coded by carrier index, with its
     corestriction index cores (coded._Index): the pseudo-product rows,
-    x ⊗ y = (x|y+) y, None where x|y+ has no maximum.
+    x ⊗ y = (x|y+) y, None where x|y+ has no maximum, as a tuple of tuples.
 
     Raises KeyError for a pair with (x|y+) y undefined, named through the
     carrier as a lookup of the labelled table would.
@@ -79,28 +74,16 @@ def _g_rows(carrier, val, plus, cores):
             if m is not None and val[m][y] is None:
                 raise KeyError((carrier[m], carrier[y]))
             out.append(None if m is None else val[m][y])
-        pseudo.append(out)
-    return pseudo
-
-
-def _labelled_table(carrier, rows):
-    """The PartialTable of coded value rows, keyed in carrier order."""
-    return PartialTable._trusted(carrier, {
-        (carrier[a], carrier[b]): carrier[v]
-        for a, row in enumerate(rows) for b, v in enumerate(row)
-        if v is not None})
+        pseudo.append(tuple(out))
+    return tuple(pseudo)
 
 
 def build_C(s):
     """Constellation on the same carrier: s • t = st when s t+ = s."""
-    carrier = s.carrier
-    _, val, plus = _coded_structure(s)
-    comp, _, up = _c_rows(carrier, val, plus)
+    comp, _, up = _c_rows(s.carrier, s.table.rows, s.plus_row)
     # _c_rows has raised unless its order is a partial order
-    return OrderedConstellation._trusted(
-        _labelled_table(carrier, comp), s.plus,
-        [(carrier[a], carrier[b]) for a, above in enumerate(up)
-         for b in above])
+    return _from_rows(OrderedConstellation,
+                      _from_rows(PartialTable, s.carrier, comp), s.plus_row, up)
 
 
 def build_G(t):
@@ -108,12 +91,9 @@ def build_G(t):
 
     x ⊗ y = (x|y+) y, defined whenever the corestriction x|y+ exists.
     """
-    cores = t._index()  # codes t only when the index is not yet built
-    position = cores.position
-    pseudo = _g_rows(t.carrier, _value_rows(t.table, position),
-                     _coded_plus(t.carrier, t.plus, position), cores)
-    return LeftRestrictionSemigroupoid(
-        _labelled_table(t.carrier, pseudo), t.plus)
+    pseudo = _g_rows(t.carrier, t.table.rows, t.plus_row, t._index())
+    return _from_rows(LeftRestrictionSemigroupoid,
+                      _from_rows(PartialTable, t.carrier, pseudo), t.plus_row)
 
 
 def roundtrip_check(x):
@@ -124,20 +104,18 @@ def roundtrip_check(x):
     are, so only the other fields are compared, as rows coded by carrier
     index.
     """
+    if not isinstance(x, (LeftRestrictionSemigroupoid, OrderedConstellation)):
+        raise TypeError(f"unsupported structure {type(x).__name__}")
+    val, plus = x.table.rows, x.plus_row
     if isinstance(x, LeftRestrictionSemigroupoid):
-        position, val, plus = _coded_structure(x)
         comp, le, up = _c_rows(x.carrier, val, plus)
-        cores = _corestriction_index(position, comp, plus, le,
+        cores = _corestriction_index(_positions(x.carrier), comp, plus, le,
                                      _down_lists(up))
         back, order = _g_rows(x.carrier, comp, plus, cores), None
-    elif isinstance(x, OrderedConstellation):
-        rows = _coded(x)
-        _, val, plus, le, _, _ = rows
-        pseudo = _g_rows(x.carrier, val, plus, x._index(rows))
-        back, back_le, _ = _c_rows(x.carrier, pseudo, plus)
-        order = back_le != le
     else:
-        raise TypeError(f"unsupported structure {type(x).__name__}")
+        pseudo = _g_rows(x.carrier, val, plus, x._index())
+        back, _, back_up = _c_rows(x.carrier, pseudo, plus)
+        order = back_up != x.up
     defined = any((u is None) != (v is None)
                   for back_row, row in zip(back, val)
                   for u, v in zip(back_row, row))

@@ -16,8 +16,9 @@ reduced order) so files are byte-stable and good for golden tests.
 import json
 import re
 
+from .coded import _positions, _table_rows
 from .constellation import OrderedConstellation
-from .core import LeftRestrictionSemigroupoid, PartialTable
+from .core import LeftRestrictionSemigroupoid, PartialTable, _from_rows
 
 __all__ = [
     "ParseError",
@@ -51,7 +52,8 @@ def parse_structure(text):
 
     Returns a LeftRestrictionSemigroupoid or an OrderedConstellation.  For
     constellations the stored order is the reflexive-transitive closure of
-    the order lines.
+    the order lines.  Every line is checked here, so the structure is
+    stored from rows built on the checked tokens (_from_rows).
     """
     lines = _tokenize(text)
     if not lines:
@@ -128,32 +130,37 @@ def parse_structure(text):
             raise unknown(ln, a, b)
 
     carrier = tuple(sorted(elements))
-    table = PartialTable(carrier, {k: v for k, (v, _) in comp.items()})
-    plus_map = {k: v for k, (v, _) in plus.items()}
+    position = _positions(carrier)
+    table = _from_rows(PartialTable, carrier, _table_rows(len(carrier), [
+        ((position[a], position[b]), position[c])
+        for (a, b), (c, _) in comp.items()]))
+    plus_row = tuple([position[plus[x][0]] for x in carrier])
 
     if kind == "semigroupoid":
-        return LeftRestrictionSemigroupoid(table, plus_map)
+        return _from_rows(LeftRestrictionSemigroupoid, table, plus_row)
 
-    above = _reachable([(a, b) for a, b, _ in order], carrier)
-    cycles = [(a, b) for a in carrier for b in above[a]
+    above = _reachable([(position[a], position[b]) for a, b, _ in order],
+                       len(carrier))
+    cycles = [(a, b) for a, reached in enumerate(above) for b in reached
               if b != a and a in above[b]]
     if cycles:
         # the first pair in carrier order, which is sorted
         a, b = min(cycles)
         raise ParseError("order is not a partial order: "
-                         f"cycle through {a!r} and {b!r}")
-    closed = frozenset((a, b) for a in carrier for b in above[a])
-    return OrderedConstellation._trusted(table, plus_map, closed)
+                         f"cycle through {carrier[a]!r} and {carrier[b]!r}")
+    up = tuple([tuple(sorted(reached)) for reached in above])
+    return _from_rows(OrderedConstellation, table, plus_row, up)
 
 
-def _reachable(pairs, carrier):
-    """{a: the set of b with (a, b) in the reflexive-transitive closure of
-    pairs}, one search along the successor lists from each element."""
-    successors = {a: [] for a in carrier}
+def _reachable(pairs, n):
+    """For each a in range(n), the set of b with (a, b) in the
+    reflexive-transitive closure of pairs, one search along the successor
+    lists from each element."""
+    successors = [[] for _ in range(n)]
     for a, b in pairs:
         successors[a].append(b)
-    above = {}
-    for a in carrier:
+    above = []
+    for a in range(n):
         seen = {a}
         todo = [a]
         while todo:
@@ -161,7 +168,7 @@ def _reachable(pairs, carrier):
                 if b not in seen:
                     seen.add(b)
                     todo.append(b)
-        above[a] = seen
+        above.append(seen)
     return above
 
 
@@ -207,8 +214,9 @@ def serialize_structure(s):
     labels = element_labels(s.carrier)
     names = sorted(labels.values())
     lines = [f"kind {kind}", "elements " + " ".join(names)]
+    plus = s.plus
     for el in sorted(s.carrier, key=lambda e: labels[e]):
-        lines.append(f"plus {labels[el]} {labels[s.plus[el]]}")
+        lines.append(f"plus {labels[el]} {labels[plus[el]]}")
     comp_lines = sorted(
         f"comp {labels[a]} {labels[b]} {labels[c]}"
         for (a, b), c in s.table.comp.items()

@@ -113,16 +113,20 @@ def _products(axiom, S, test):
 
 def _elements(axiom, S, test):
     """One instance per source element a, reading a and a+."""
-    for a in S.carrier:
-        yield axiom, (a,), (a, S.plus[a]), test
+    for a, a_plus in S.plus.items():
+        yield axiom, (a,), (a, a_plus), test
 
 
 def _order_pairs(axiom, T, L):
     """ir3/ip3: a <= b implies f(a) <= f(b)."""
+    order = L.order
+
     def test(f, a, b):
-        return (f[a], f[b]) in L.order
-    for pair in product(T.carrier, repeat=2):
-        if pair in T.order:
+        return (f[a], f[b]) in order
+    carrier = T.carrier
+    for a, above in enumerate(T.up):
+        for b in above:
+            pair = carrier[a], carrier[b]
             yield axiom, pair, pair, test
 
 
@@ -194,22 +198,23 @@ def _ir_instances(T, L):
 def _ip_instances(T, L):
     cores = L._index()
     pseudo = {(a, b): pseudo_product(L, a, b) for a in L.carrier for b in L.carrier}
-    l_plus_image = set(L.plus.values())
+    l_plus, l_order = L.plus, L.order
+    l_plus_image = set(l_plus.values())
 
     def ip2(f, a, a_plus):
-        return (L.plus[f[a]], f[a_plus]) in L.order
+        return (l_plus[f[a]], f[a_plus]) in l_order
 
     def ip5(f, e, x, r):
         # f(e)|f(x)+ = f(e|x)+, with f(e) in L+
         if f[e] not in l_plus_image:
             return False
-        m = cores.top[cores.position[L.plus[f[x]]]][cores.position[f[e]]]
-        return m is not None and L.carrier[m] == L.plus[f[r]]
+        m = cores.top[cores.position[l_plus[f[x]]]][cores.position[f[e]]]
+        return m is not None and L.carrier[m] == l_plus[f[r]]
 
     def plus_image(f, e):
         return f[e] in l_plus_image
 
-    yield from _products("ip1", T, _weakly_multiplicative(pseudo, L.plus))
+    yield from _products("ip1", T, _weakly_multiplicative(pseudo, l_plus))
     yield from _elements("ip2", T, ip2)
     yield from _order_pairs("ip3", T, L)
     yield from _corestrictions("ip4", T, L)

@@ -8,6 +8,7 @@ carrier so the two composite constructions agree literally.
 
 from itertools import combinations
 
+from .coded import _positions
 from .constellation import OrderedConstellation, corestriction
 from .core import LeftRestrictionSemigroupoid, PartialTable
 from .morphism import MorphismMap
@@ -119,8 +120,8 @@ def expand_semigroupoid(s):
     (A,a)(B,b) = ((ab)+ A ∪ aB, ab) when ab is defined; plus keeps the
     subset and applies the base plus to the anchor.
     """
-    comp = s.table.comp
-    carrier = _sz_carrier(s.carrier, s.plus)
+    comp, base_plus = s.table.comp, s.plus
+    carrier = _sz_carrier(s.carrier, base_plus)
     member = _member_lookup(carrier)
     sz_comp = {}
     for p in carrier:
@@ -128,11 +129,11 @@ def expand_semigroupoid(s):
             ab = comp.get((p.anchor, q.anchor))
             if ab is None:
                 continue
-            ab_plus = s.plus[ab]
+            ab_plus = base_plus[ab]
             subset = {comp[(ab_plus, x)] for x in p.subset}
             subset |= {comp[(p.anchor, y)] for y in q.subset}
             sz_comp[(p, q)] = member(subset, ab)
-    plus = {p: member(p.subset, s.plus[p.anchor]) for p in carrier}
+    plus = {p: member(p.subset, base_plus[p.anchor]) for p in carrier}
     return LeftRestrictionSemigroupoid(PartialTable(carrier, sz_comp), plus)
 
 
@@ -142,8 +143,8 @@ def expand_constellation(t):
     (A,a)(B,b) = (A, ab) when ab is defined and aB ⊆ A; the order is
     (A,a) <= (B,b) iff a <= b and a+ B ⊆ A, products taken in t.
     """
-    comp = t.table.comp
-    carrier = _sz_carrier(t.carrier, t.plus)
+    comp, base_plus, base_order = t.table.comp, t.plus, t.order
+    carrier = _sz_carrier(t.carrier, base_plus)
     member = _member_lookup(carrier)
     sz_comp = {}
     for p in carrier:
@@ -155,13 +156,13 @@ def expand_constellation(t):
             if any(img is None or img not in p.subset for img in images):
                 continue
             sz_comp[(p, q)] = member(p.subset, ab)
-    plus = {p: member(p.subset, t.plus[p.anchor]) for p in carrier}
+    plus = {p: member(p.subset, base_plus[p.anchor]) for p in carrier}
     order = set()
     for p in carrier:
         for q in carrier:
-            if (p.anchor, q.anchor) not in t.order:
+            if (p.anchor, q.anchor) not in base_order:
                 continue
-            a_plus = t.plus[p.anchor]
+            a_plus = base_plus[p.anchor]
             images = [comp.get((a_plus, y)) for y in q.subset]
             if any(img is None or img not in p.subset for img in images):
                 continue
@@ -173,9 +174,8 @@ def iota(t, expansion=None):
     """The embedding x -> ({x+, x}, x) into the expansion of t."""
     if expansion is None:
         expansion = expand_constellation(t)
-    mapping = {
-        x: SzendreiElement({t.plus[x], x}, x) for x in t.carrier
-    }
+    plus = t.plus
+    mapping = {x: SzendreiElement({plus[x], x}, x) for x in t.carrier}
     return MorphismMap(t, expansion, mapping)
 
 
@@ -255,25 +255,29 @@ def evaluate_term(term, base, sz):
 def evaluate_through(term, leaves, target):
     """Evaluate a term in the constellation target, sending each leaf
     element x to leaves[x]."""
-    if isinstance(term, Leaf):
-        return leaves[term.element]
-    if isinstance(term, Plus):
-        return target.plus[evaluate_through(term.inner, leaves, target)]
-    if isinstance(term, Corestrict):
-        left = evaluate_through(term.left, leaves, target)
-        right = evaluate_through(term.right, leaves, target)
-        c = corestriction(target, left, right)
-        if not c.exists:
-            raise MeetUndefinedError(f"corestriction missing for {term!r}")
-        return c.value
-    if isinstance(term, Compose):
-        left = evaluate_through(term.left, leaves, target)
-        right = evaluate_through(term.right, leaves, target)
-        value = target.table.comp.get((left, right))
-        if value is None:
-            raise MeetUndefinedError(f"composition missing for {term!r}")
-        return value
-    raise TypeError(f"unknown term {term!r}")
+    carrier, val, plus = target.carrier, target.table.rows, target.plus_row
+    position = _positions(carrier)
+
+    def value(term):
+        if isinstance(term, Leaf):
+            return leaves[term.element]
+        if isinstance(term, Plus):
+            return carrier[plus[position[value(term.inner)]]]
+        if isinstance(term, Corestrict):
+            left, right = value(term.left), value(term.right)
+            c = corestriction(target, left, right)
+            if not c.exists:
+                raise MeetUndefinedError(f"corestriction missing for {term!r}")
+            return c.value
+        if isinstance(term, Compose):
+            left, right = value(term.left), value(term.right)
+            v = val[position[left]][position[right]]
+            if v is None:
+                raise MeetUndefinedError(f"composition missing for {term!r}")
+            return carrier[v]
+        raise TypeError(f"unknown term {term!r}")
+
+    return value(term)
 
 
 def _meet_fold(target, elements):
@@ -297,11 +301,12 @@ def extend(phi, expansion=None):
     t, target, f = phi.source, phi.target, phi.mapping
     if expansion is None:
         expansion = expand_constellation(t)
+    comp, plus = target.table.comp, target.plus
     mapping = {}
     for el in expansion.carrier:
-        plusses = [target.plus[f[a]] for a in sorted(el.subset)]
+        plusses = [plus[f[a]] for a in sorted(el.subset)]
         m = _meet_fold(target, plusses)
-        value = target.table.comp.get((m, f[el.anchor]))
+        value = comp.get((m, f[el.anchor]))
         if value is None:
             raise MeetUndefinedError(
                 f"{m!r} does not compose with {f[el.anchor]!r}"

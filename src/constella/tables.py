@@ -28,7 +28,8 @@ ex and ee each unassigned or equal to x and e (_least_tables).
 
 from itertools import permutations, product
 
-from .core import PartialTable, holds
+from .coded import _table_rows
+from .core import PartialTable, _from_rows, holds
 
 # _tables keeps one byte per defined-pair mask: a permutation index below
 # _EMPTY (n! <= 120), _EMPTY for a mask whose orbit holds no table, and
@@ -44,20 +45,16 @@ class CapExceededError(RuntimeError):
 
 
 def _tables(carrier, violations):
-    """The tables of _table_codes(carrier, violations) as PartialTables,
-    each comp keyed in mask order."""
-    for keys, _, values in _table_codes(carrier, violations):
-        yield _labelled_table(carrier, keys, values)
+    """The tables of _table_codes(carrier, violations) as PartialTables."""
+    for val in _table_codes(carrier, violations):
+        yield _from_rows(PartialTable, carrier, val)
 
 
 def _table_codes(carrier, violations, units=False):
     """All tables on the carrier on which the coded generator
     violations(D, val, rows) yields nothing, and with units, on which every
-    x has a unit, in mask order and then in
-    carrier order of the values, each as (keys, defined, values): its
-    defined pairs in mask order, as pairs of elements (one list shared by
-    the tables of a mask) and as pairs of carrier indices, and the bytes of
-    the indices of their values.
+    x has a unit, in mask order and then in carrier order of the values,
+    each as its value rows (coded._table_rows).
 
     Relabelling the carrier by a permutation h maps the valid tables on a
     defined-pair mask m one to one onto those on h(m): s1-s3, c1/c2 and
@@ -145,24 +142,9 @@ def _table_codes(carrier, violations, units=False):
             hg = number[tuple(perms[k][i] for i in perms[g])]
             p, src = perms[hg], slots(hg, rep_qs, qs)
             tables.update(bytes(p[t[s]] for s in src) for t in kept)
-        keys = [pairs[q] for q in qs]
         defined = [coded[q] for q in qs]
         for t in sorted(tables):
-            yield keys, defined, t
-
-
-def _labelled_table(carrier, keys, values):
-    """The PartialTable of a coded table, keyed in the order of keys."""
-    return PartialTable._trusted(
-        carrier, {key: carrier[v] for key, v in zip(keys, values)})
-
-
-def _table_rows(n, defined, values):
-    """A coded table as rows: val[a][b] is the value of (a, b), else None."""
-    val = [[None] * n for _ in range(n)]
-    for (a, b), v in zip(defined, values):
-        val[a][b] = v
-    return val
+            yield _table_rows(n, zip(defined, t))
 
 
 def _relabelled_bytes(bit_images):

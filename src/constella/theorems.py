@@ -197,7 +197,7 @@ def check_morphism_bijection(size):
 
 
 def _sz_plus_elements(sz):
-    return [p for p in sz.carrier if sz.plus[p] == p]
+    return [sz.carrier[e] for e, e_plus in enumerate(sz.plus_row) if e_plus == e]
 
 
 def check_szendrei_coherence():
@@ -208,14 +208,14 @@ def check_szendrei_coherence():
         sz = expand_constellation(t)
         if build_C(expand_semigroupoid(s)) != sz:
             return TheoremResult("szendrei-coherence", False, name)
-        comp = t.table.comp
+        comp, t_plus, sz_plus, sz_order = t.table.comp, t.plus, sz.plus, sz.order
         # restriction closed form: (E,e)|(A,a) = (E, e|a) = (E, ea)
         for p in _sz_plus_elements(sz):
             for q in sz.carrier:
-                if (p, sz.plus[q]) not in sz.order:
+                if (p, sz_plus[q]) not in sz_order:
                     continue
                 found = [r for r in sz.carrier
-                         if (r, q) in sz.order and sz.plus[r] == p]
+                         if (r, q) in sz_order and sz_plus[r] == p]
                 expected = SzendreiElement(
                     p.subset, comp[(p.anchor, q.anchor)]
                 )
@@ -234,7 +234,7 @@ def check_szendrei_coherence():
                                              f"{name}: spurious corestriction")
                     continue
                 ae = c_base.value
-                ae_plus = t.plus[ae]
+                ae_plus = t_plus[ae]
                 subset = {comp[(ae_plus, x)] for x in q.subset}
                 subset |= {comp[(ae, y)] for y in p.subset}
                 expected = SzendreiElement(subset, ae)

@@ -49,7 +49,7 @@ _REFLEXIVE = {(x, x) for x in "abc"}
      "order is not a partial order: not transitive at ('a', 'b', 'c')"),
 ])
 def test_constructor_messages(plus, order, message):
-    # the census and build_C skip these checks (OrderedConstellation._trusted);
+    # the census, build_C and the parser skip these checks (core._from_rows);
     # the public constructor keeps them, word for word
     t = PartialTable(["a", "b", "c"], {(x, x): x for x in "abc"})
     with pytest.raises(ValueError) as error:

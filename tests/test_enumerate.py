@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import tracemalloc
 from collections import Counter
 from itertools import chain, permutations, product
 from math import factorial
@@ -7,6 +9,7 @@ import pytest
 
 from constella import fixtures
 from constella.cli import _record
+from constella.coded import _table_rows
 from constella.constellation import (
     OrderedConstellation,
     _c12_violations,
@@ -38,7 +41,6 @@ from constella.tables import (
     _least_tables,
     _reading_rows,
     _table_codes,
-    _table_rows,
     _tables,
 )
 from constella.theorems import FROZEN_CENSUS_COUNTS
@@ -74,11 +76,44 @@ def test_census_counts_are_frozen():
     assert len(list(enumerate_li_constellations(2))) == 9
 
 
+# Bytes a held n = 4 lic census took, as _held_census measures them, with
+# each structure stored labelled (a comp dict per table, a plus dict and an
+# order frozenset per structure), on Python 3.11.
+LABELLED_LIC_4_BYTES = 3_975_376
+
+
+def _held_census(census, n):
+    """(list(census(n)), the bytes that list holds): the memory allocated
+    while it is built and still in use once it is, under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        structures = list(census(n))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return structures, held
+
+
 @pytest.fixture(scope="module")
-def census_4():
+def lic_4_held():
+    """The n = 4 lic census, built under tracemalloc, and its held bytes."""
+    return _held_census(enumerate_li_constellations, 4)
+
+
+@pytest.fixture(scope="module")
+def census_4(lic_4_held):
     """The n = 4 censuses (lrs, lic), built once for this module."""
-    return (list(enumerate_lr_semigroupoids(4)),
-            list(enumerate_li_constellations(4)))
+    return list(enumerate_lr_semigroupoids(4)), lic_4_held[0]
+
+
+def test_a_held_census_takes_no_more_memory_than_a_labelled_one(lic_4_held):
+    # Structures store their rows coded by carrier index and share the
+    # census's tables; the labelled views are built on access, not held.
+    structures, held = lic_4_held
+    assert len(structures) == 3021
+    assert held <= LABELLED_LIC_4_BYTES, held
 
 
 def test_each_table_and_plus_has_at_most_one_valid_order(census_4):
@@ -149,10 +184,10 @@ def test_unit_lemma_on_both_censuses(census_4):
         _assert_unit_lemma(x)
 
 
-def _has_units(n, defined, values):
-    val = _table_rows(n, defined, values)
-    return all(any(val[e][x] == x and val[e][e] == e for e in range(n))
-               for x in range(n))
+def _has_units(val):
+    every = range(len(val))
+    return all(any(val[e][x] == x and val[e][e] == e for e in every)
+               for x in every)
 
 
 @pytest.mark.parametrize(
@@ -163,7 +198,7 @@ def test_unit_pruning_drops_exactly_the_tables_without_units(n, violations):
     # tables on which some x has no e with ex = x and ee = e
     carrier = carrier_labels(n)
     full = list(_table_codes(carrier, violations))
-    kept = [t for t in full if _has_units(n, t[1], t[2])]
+    kept = [t for t in full if _has_units(t)]
     assert list(_table_codes(carrier, violations, True)) == kept
     assert 0 < len(kept) < len(full)
 
@@ -181,7 +216,8 @@ def test_unit_cut_is_exact_on_every_assignment():
         for mask in range(1 << len(pairs)):
             defined = [p for q, p in enumerate(pairs) if mask >> q & 1]
             every = _least_tables(n, nothing, defined, [])
-            kept = [t for t in every if _has_units(n, defined, t)]
+            kept = [t for t in every
+                    if _has_units(_table_rows(n, zip(defined, t)))]
             assert _least_tables(n, nothing, defined, [], True) == kept
             cut += len(every) - len(kept)
     assert cut > 0

@@ -59,7 +59,7 @@ from constella.constellation import (
     check_constellation,
     check_locally_inductive,
 )
-from constella.coded import _defined_rows, _positions, _value_rows
+from constella.coded import _defined_rows
 from constella.core import (
     InvalidOrderError,
     LeftRestrictionSemigroupoid,
@@ -101,10 +101,9 @@ def relabel(x, mapping, carrier):
 
 
 def coded_table(t):
-    """(D, val): the table t coded by carrier index, as the checkers code
+    """(D, val): the table t coded by carrier index, as the checkers read
     it for the table generators."""
-    val = _value_rows(t, _positions(t.carrier))
-    return _defined_rows(val), val
+    return _defined_rows(t.rows), t.rows
 
 
 # --- reference scans: the axiom generators over the labelled structure ---
@@ -503,7 +502,8 @@ def test_every_carrier_type_reports_the_reference_sequence():
 
 
 def _defined_in_carrier_order(table):
-    return [p for p in product(table.carrier, repeat=2) if p in table.defined]
+    defined = table.defined
+    return [p for p in product(table.carrier, repeat=2) if p in defined]
 
 
 def test_coded_scans_name_witnesses_and_sort_keys_back():
@@ -898,9 +898,9 @@ def test_rendered_reports_match_json_dumps():
 # --- the labelled constructions, round trip and classifiers ---
 
 def _natural_order_reference(s):
-    comp = s.table.comp
+    comp, plus = s.table.comp, s.plus
     rel = frozenset((a, b) for a, b in product(s.carrier, repeat=2)
-                    if comp.get((s.plus[a], b)) == a)
+                    if comp.get((plus[a], b)) == a)
     problem = _check_partial_order(rel, s.carrier)
     if problem is not None:
         raise InvalidOrderError(problem)
@@ -908,24 +908,25 @@ def _natural_order_reference(s):
 
 
 def _build_C_reference(s):
+    table, plus = s.table.comp, s.plus
     comp = {}
     for a, b in product(s.carrier, repeat=2):
-        if s.table.comp.get((a, s.plus[b])) == a:
-            comp[(a, b)] = s.table.comp[(a, b)]
+        if table.get((a, plus[b])) == a:
+            comp[(a, b)] = table[(a, b)]
     return OrderedConstellation(
-        PartialTable(s.carrier, comp), s.plus, _natural_order_reference(s))
+        PartialTable(s.carrier, comp), plus, _natural_order_reference(s))
 
 
 def _build_G_reference(t):
     """x ⊗ y = (x|y+) y, read from the reference corestrictions."""
     cores = _reference_corestrictions(t)
-    comp = t.table.comp
+    comp, plus = t.table.comp, t.plus
     pseudo = {}
     for x, y in product(t.carrier, repeat=2):
-        m = cores[x, t.plus[y]].value
+        m = cores[x, plus[y]].value
         if m is not None:
             pseudo[x, y] = comp[m, y]
-    return LeftRestrictionSemigroupoid(PartialTable(t.carrier, pseudo), t.plus)
+    return LeftRestrictionSemigroupoid(PartialTable(t.carrier, pseudo), plus)
 
 
 def _roundtrip_reference(x):
@@ -953,15 +954,16 @@ def _identities_reference(table):
 
 def _category_reference(table):
     identities = _identities_reference(table)
+    comp = table.comp
     domain, codomain = {}, {}
     for x in table.carrier:
-        d = [e for e in identities if (x, e) in table.comp]
-        r = [e for e in identities if (e, x) in table.comp]
+        d = [e for e in identities if (x, e) in comp]
+        r = [e for e in identities if (e, x) in comp]
         if len(d) != 1 or len(r) != 1:
             return CategoryCheck(False)
         domain[x], codomain[x] = d[0], r[0]
     for x, y in product(table.carrier, repeat=2):
-        if ((x, y) in table.comp) != (domain[x] == codomain[y]):
+        if ((x, y) in comp) != (domain[x] == codomain[y]):
             return CategoryCheck(False)
     return CategoryCheck(True, domain=domain, codomain=codomain)
 
@@ -1008,8 +1010,8 @@ def _first_failing(carrier, holds_at):
 
 def _classify_semigroupoid_reference(s):
     """(flags, witnesses) as the labelled classifier computed them."""
-    table, comp, carrier = s.table, s.table.comp, s.carrier
-    image = set(s.plus.values())
+    table, comp, carrier, plus = s.table, s.table.comp, s.carrier, s.plus
+    image = set(plus.values())
     identities = _identities_reference(table)
     witnesses = {
         "nd": _first_failing(carrier, lambda x: any(
@@ -1021,7 +1023,7 @@ def _classify_semigroupoid_reference(s):
             (e, x) in comp for e in identities)),
     }
     right = _right_inverse_reference(carrier, lambda x, w: (
-        comp.get((x, s.plus[w])) == x and comp.get((x, w)) == s.plus[x]))
+        comp.get((x, plus[w])) == x and comp.get((x, w)) == plus[x]))
     witnesses["has_right_inverses"] = right.witness
     flags = {name: witnesses[name] is None
              for name in ("nd", "lc", "unitary")}
@@ -1036,7 +1038,7 @@ def _classify_semigroupoid_reference(s):
 def _classify_constellation_reference(t):
     """(flags, witnesses) as the labelled classifier computed them, from
     the reference corestrictions and components."""
-    carrier, order, comp = t.carrier, t.order, t.table.comp
+    carrier, order, comp, plus = t.carrier, t.order, t.table.comp, t.plus
     image = t.plus_image()
     cores = _reference_corestrictions(t)
     components = [(group, _reference_maximum(order, group))
@@ -1055,7 +1057,7 @@ def _classify_constellation_reference(t):
     semilattice = len(components) == 1 and all(
         has_meet(e, f) for e, f in product(image, repeat=2))
     right = _right_inverse_reference(
-        carrier, lambda x, w: comp.get((x, w)) == t.plus[x])
+        carrier, lambda x, w: comp.get((x, w)) == plus[x])
     witnesses["has_right_inverses"] = right.witness
     flags = {name: witnesses[name] is None
              for name in ("nd", "lc", "unitary")}
@@ -1152,8 +1154,9 @@ def test_detectors_match_the_labelled_references():
                      broken=got is AssertionError,
                      semigroup=detect_semigroup(table))
     for t in chain(lic, _sample_structures()[1]):
+        comp, plus = t.table.comp, t.plus
         want = _right_inverse_reference(
-            t.carrier, lambda x, w: t.table.comp.get((x, w)) == t.plus[x])
+            t.carrier, lambda x, w: comp.get((x, w)) == plus[x])
         assert _inverse_fields(has_right_inverses(t)) == _inverse_fields(want)
     assert min(found.values()) > 10 and len(found) == 4
 

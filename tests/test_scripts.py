@@ -7,6 +7,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+
+from bench import measured_tree  # noqa: E402
 
 
 def test_freeze_census_prints_the_frozen_counts():
@@ -23,3 +26,27 @@ def test_freeze_census_prints_the_frozen_counts():
         f"size {n}: lrs={count} lic={count} lrs_classes={classes}"
         f" lic_classes={classes} lrs_orbit_sum={count} lic_orbit_sum={count}"
         for n, count, classes in ((1, 1, 1), (2, 9, 5), (3, 130, 25))]
+
+
+def test_bench_records_the_tree_it_measures(tmp_path, monkeypatch):
+    # git must not find a checkout above tmp_path
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=bench", "-c", "user.email=bench@example",
+             *args], cwd=tmp_path, capture_output=True, text=True,
+            check=True).stdout.strip()
+
+    assert measured_tree(tmp_path) is None  # not a checkout
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD")
+    assert measured_tree(tmp_path) == {"commit": head, "dirty": False}
+    (tmp_path / "a.txt").write_text("two\n")
+    assert measured_tree(tmp_path) == {"commit": head, "dirty": True}
+    git("commit", "-q", "-am", "two")
+    assert measured_tree(tmp_path) == {"commit": git("rev-parse", "HEAD"),
+                                       "dirty": False}
