@@ -4,12 +4,13 @@ from it.
 The elements of a carrier are numbered by their position in it.  A table
 is stored as rows of value indices (val[a][b], None where the product is
 undefined), a plus map as a tuple of indices, and an order as up-lists
-(up[x], the y >= x in index order).  The axiom generators, functors and
-classifiers read these fields and name their witnesses back through the
-carrier (core._named_report); the labelled comp, plus and order are views
-built from them on each access.  From the up-lists come the boolean rows
-(le[x][y] when x <= y) and the down-lists, which a constellation keeps
-with its corestriction index (_Index), built on first use.
+(up[x], the y >= x in index order).  The axiom generators, functors,
+classifiers and morphism checkers read these fields and name their
+witnesses back through the carrier (core._named_report); the labelled
+comp, plus and order are views built from them on each access.  From
+the up-lists come the boolean rows (le[x][y] when x <= y) and the
+down-lists, which a constellation keeps with its corestriction index
+(_Index), built on first use.
 """
 
 
@@ -50,12 +51,15 @@ def _plus_row(carrier, plus):
 
 
 def _up_lists(carrier, order):
-    """The up-lists of an order given by its pairs, checked inside the
-    carrier, as a constellation stores them."""
+    """The up-lists of an order given by its pairs, each once, checked
+    inside the carrier, as a constellation stores them.  Of the pairs that
+    leave the carrier, the least by its text is named, so the message does
+    not depend on the hash seed."""
     position = _positions(carrier)
-    for a, b in order:
-        if a not in position or b not in position:
-            raise ValueError(f"order pair {(a, b)!r} leaves the carrier")
+    leaving = [repr((a, b)) for a, b in order
+               if a not in position or b not in position]
+    if leaving:
+        raise ValueError(f"order pair {min(leaving)} leaves the carrier")
     return _order_rows(((position[a], position[b]) for a, b in order),
                        len(position))[1]
 

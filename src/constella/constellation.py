@@ -30,7 +30,7 @@ from .coded import (
     _positions,
     _up_lists,
 )
-from .core import _PlusStructure, _check_partial_order, _named_report
+from .core import _PlusStructure, _named_report, _order_rows_problem
 
 __all__ = [
     "OrderedConstellation",
@@ -131,9 +131,8 @@ class OrderedConstellation(_PlusStructure):
 
     def __init__(self, table, plus, order):
         plus_row = _plus_row(table.carrier, plus)
-        order = frozenset(order)
-        up = _up_lists(table.carrier, order)
-        problem = _check_partial_order(order, table.carrier)
+        up = _up_lists(table.carrier, frozenset(order))
+        problem = _order_rows_problem(table.carrier, _le_rows(up), up)
         if problem is not None:
             raise ValueError(f"order is not a partial order: {problem}")
         self._keep(table, plus_row, up)

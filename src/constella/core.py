@@ -267,11 +267,12 @@ def _named_report(carrier, found):
     of the coded structure onto those of the structure itself.  Every
     generator visits elements and pairs in index order, which is carrier
     order, so the named witnesses come in the sequence a scan of the
-    labelled structure in carrier order gives.
+    labelled structure in carrier order gives.  The witnesses and the
+    report are built from lists, so each tuple is allocated at its final
+    size.
     """
-    return ValidationReport(
-        Violation(axiom, map(carrier.__getitem__, witness))
-        for axiom, witness in found)
+    return ValidationReport([Violation(axiom, [carrier[i] for i in witness])
+                             for axiom, witness in found])
 
 
 def _s_violations(D, val, rows=None):
@@ -372,31 +373,13 @@ def _lr_violations(val, plus):
                 yield "lr4", (s, x)
 
 
-def _check_partial_order(pairs, carrier):
-    pairs = frozenset(pairs)
-    for a in carrier:
-        if (a, a) not in pairs:
-            return f"not reflexive at {a!r}"
-    for a, b in pairs:
-        if a != b and (b, a) in pairs:
-            return f"not antisymmetric at {(a, b)!r}"
-    # Transitivity through successor lists: above[b] holds the d with
-    # (b, d) in pairs, in the order of the iteration over pairs, so the
-    # first failure found is that of the plain scan over all pairs of pairs.
-    above = {}
-    for c, d in pairs:
-        above.setdefault(c, []).append(d)
-    for a, b in pairs:
-        for d in above.get(b, ()):
-            if (a, d) not in pairs:
-                return f"not transitive at {(a, b, d)!r}"
-    return None
-
-
 def _order_rows_problem(carrier, le, up):
-    """What _check_partial_order reports for an order coded as le and
-    up-lists (coded._order_rows), at its first failure in index order, or
-    None for a partial order."""
+    """The first failure of an order coded as le and up-lists
+    (coded._order_rows) to be a partial order, named through the carrier,
+    or None for a partial order.  Reflexivity, antisymmetry and
+    transitivity are checked in turn, each over the elements or the order
+    pairs in index order, which is carrier order, so the text does not
+    depend on the hash seed."""
     for a, row in enumerate(le):
         if not row[a]:
             return f"not reflexive at {carrier[a]!r}"

@@ -36,9 +36,9 @@ from .constellation import (
 from .core import (
     LeftRestrictionSemigroupoid,
     PartialTable,
-    _check_partial_order,
     _from_rows,
     _lr_violations,
+    _order_rows_problem,
     _s_violations,
     holds,
 )
@@ -134,6 +134,7 @@ def enumerate_lr_semigroupoids(n, cap=None):
 def all_partial_orders(carrier):
     """Every partial order on the carrier, as frozensets of pairs."""
     carrier = tuple(carrier)
+    position = _positions(carrier)
     reflexive = {(a, a) for a in carrier}
     strict = sorted(
         (a, b) for a, b in product(carrier, repeat=2) if a != b
@@ -142,7 +143,9 @@ def all_partial_orders(carrier):
     for mask in range(1 << len(strict)):
         chosen = {strict[i] for i in range(len(strict)) if mask >> i & 1}
         order = frozenset(chosen | reflexive)
-        if _check_partial_order(order, carrier) is None:
+        le, up, _ = _order_rows(
+            [(position[a], position[b]) for a, b in order], len(carrier))
+        if _order_rows_problem(carrier, le, up) is None:
             orders.append(order)
     return orders
 
@@ -166,8 +169,7 @@ def enumerate_li_constellations(n, cap=None):
         for plus in _plus_maps(val):
             if not holds(_c34_violations(val, plus)):
                 continue
-            for order in _candidate_orders(val, plus):
-                le, up, down = _order_rows(order, n)
+            for le, up, down in _candidate_orders(val, plus):
                 if not holds(_order_violations(val, plus, le, up)):
                     continue
                 cores = _corestriction_index(position, val, plus, le, down)
@@ -179,13 +181,13 @@ def enumerate_li_constellations(n, cap=None):
 
 
 def _candidate_orders(val, plus):
-    """The partial orders, as sets of pairs of carrier indices, of the form
-    every locally inductive order of a coded (table, plus) pair has, given
-    that c1-c4 hold: nothing when some e in T+ has e+ != e; otherwise
-    e <= f iff ef is defined, for e, f in T+, and for each x outside T+ the
-    down-set {x} | {y_e : e < x+ in T+}, one y_e with y_e+ = e drawn for
-    each such e.  The choices run in carrier order, the last x and e
-    fastest.
+    """The partial orders, as the (le, up, down) rows of coded._order_rows,
+    of the form every locally inductive order of a coded (table, plus)
+    pair has, given that c1-c4 hold: nothing when some e in T+ has
+    e+ != e; otherwise e <= f iff ef is defined, for e, f in T+, and for
+    each x outside T+ the down-set {x} | {y_e : e < x+ in T+}, one y_e with
+    y_e+ = e drawn for each such e.  The choices run in carrier order, the
+    last x and e fastest.
 
     Why every valid order has this form.  Write x|e for the corestriction
     (the maximum of the y <= x with ye defined), e, f for elements of T+.
@@ -221,9 +223,9 @@ def _candidate_orders(val, plus):
         slots += [[(y, x) for y in fibre[e]] for e in range(n)
                   if e in image and e != top and val[e][top] is not None]
     for chosen in product(*slots):
-        order = frozenset(chain(fixed, chosen))
-        if _check_partial_order(order, range(n)) is None:
-            yield order
+        le, up, down = _order_rows(chain(fixed, chosen), n)
+        if _order_rows_problem(range(n), le, up) is None:
+            yield le, up, down
 
 
 def are_isomorphic(a, b):

@@ -1,29 +1,28 @@
 """Total maps between structures and the four morphism classes.
 
 Each axiom is written once, as ordered instances ``(axiom, witness,
-support, test)``: ``support`` lists the source elements the instance reads
-and ``test(f, *support)`` decides it once they have images.  The reporting
-checkers run every instance and report each failure as a named Violation;
-no checker assumes the map already belongs to a smaller class, so
-single-image mutations produce meaningful named violations.
+support, test)`` on carrier indices (coded.py): ``support`` lists the
+source indices the instance reads, ``witness`` those it names, and
+``test(f, *support)`` decides it once they have images, where f is a list
+of target indices, f[x] the image of x.  The instances are built from the
+stored rows of the source, in index order, and their tests read the
+stored rows of the target: its table rows, plus_row and the order rows of
+its corestriction index.  The reporting checkers code the map once, run
+every instance and name each failure through the source carrier
+(core._named_report); no checker assumes the map already belongs to a
+smaller class, so single-image mutations produce meaningful named
+violations.
 
 enumerate_morphisms is a backtracking search over the same instances: it
-assigns images in source-carrier order, trying target elements in order,
+assigns images in source index order, trying target indices in order,
 tests each instance once the last element of its support has an image and
 cuts the branch at the first failure.  Accepted maps come out in the
-lexicographic order of the |T|^|S| total maps.
+lexicographic order of the |T|^|S| total maps, each named once.
 """
 
-from itertools import product
-
-from .constellation import (
-    NonUniqueError,
-    NotApplicableError,
-    OrderedConstellation,
-    pseudo_product,
-    restriction,
-)
-from .core import LeftRestrictionSemigroupoid, Violation, ValidationReport
+from .coded import _positions
+from .constellation import OrderedConstellation
+from .core import LeftRestrictionSemigroupoid, _named_report
 from .enumerate import CapExceededError, cap_from_env
 from .functor import build_C, build_G
 
@@ -89,7 +88,6 @@ class MorphismMap:
         return f"MorphismMap({self.mapping!r})"
 
 
-
 def identity_morphism(s):
     return MorphismMap(s, s, {x: x for x in s.carrier})
 
@@ -99,68 +97,62 @@ def _require(source, target, cls):
         raise TypeError(f"morphism endpoints must be {cls.__name__}")
 
 
-# --- instance builders: one instance per axiom and witness, in carrier order
+# --- instance builders: one instance per axiom and witness, in index order
 
 
 def _products(axiom, S, test):
     """One instance per defined product ab of the source, reading a, b, ab."""
-    comp = S.table.comp
-    for a, b in product(S.carrier, repeat=2):
-        ab = comp.get((a, b))
-        if ab is not None:
-            yield axiom, (a, b), (a, b, ab), test
+    for a, row in enumerate(S.table.rows):
+        for b, ab in enumerate(row):
+            if ab is not None:
+                yield axiom, (a, b), (a, b, ab), test
 
 
 def _elements(axiom, S, test):
     """One instance per source element a, reading a and a+."""
-    for a, a_plus in S.plus.items():
+    for a, a_plus in enumerate(S.plus_row):
         yield axiom, (a,), (a, a_plus), test
 
 
 def _order_pairs(axiom, T, L):
     """ir3/ip3: a <= b implies f(a) <= f(b)."""
-    order = L.order
+    le = L._index().le
 
     def test(f, a, b):
-        return (f[a], f[b]) in order
-    carrier = T.carrier
+        return le[f[a]][f[b]]
     for a, above in enumerate(T.up):
         for b in above:
-            pair = carrier[a], carrier[b]
-            yield axiom, pair, pair, test
+            yield axiom, (a, b), (a, b), test
 
 
 def _corestrictions(axiom, T, L):
     """ir4/ip4: f(e) is in L+ and f(x|e) = f(x)|f(e), whenever x|e exists.
     Both sides are read from the corestriction indexes, whose rows cover
     the e in T+ and L+ only."""
-    source, target = T._index(), L._index()
-    position, top = target.position, target.top
+    source, top = T._index(), L._index().top
 
     def test(f, x, e, c):
-        row = top[position[f[e]]]
-        m = None if row is None else row[position[f[x]]]
-        return m is not None and L.carrier[m] == f[c]
+        row = top[f[e]]
+        return row is not None and row[f[x]] == f[c]
     for e in source.image:
-        for x, m in zip(T.carrier, source.top[e]):
+        for x, m in enumerate(source.top[e]):
             if m is not None:
-                pair = x, T.carrier[e]
-                yield axiom, pair, (*pair, T.carrier[m]), test
+                yield axiom, (x, e), (x, e, m), test
 
 
-def _multiplicative(comp):
+def _multiplicative(val):
     """rm1/ir1: f(a)f(b) is defined and equals f(ab)."""
     def test(f, a, b, ab):
-        return comp.get((f[a], f[b])) == f[ab]
+        return val[f[a]][f[b]] == f[ab]
     return test
 
 
-def _weakly_multiplicative(product, plus):
-    """pm1/ip1: f(a)f(b) = f(a)+ f(ab), both sides defined, for the given
-    product (composition for pm1, pseudo-product for ip1)."""
+def _weakly_multiplicative(rows, plus):
+    """pm1/ip1: f(a)f(b) = f(a)+ f(ab), both sides defined, for the product
+    whose rows are given (composition for pm1, pseudo-product for ip1)."""
     def test(f, a, b, ab):
-        lhs = product.get((f[a], f[b]))
-        return lhs is not None and lhs == product.get((plus[f[a]], f[ab]))
+        lhs = rows[f[a]][f[b]]
+        return lhs is not None and lhs == rows[plus[f[a]]][f[ab]]
     return test
 
 
@@ -172,61 +164,64 @@ def _commutes_with_plus(plus):
 
 
 def _rm_instances(S, T):
-    yield from _products("rm1", S, _multiplicative(T.table.comp))
-    yield from _elements("rm2", S, _commutes_with_plus(T.plus))
+    yield from _products("rm1", S, _multiplicative(T.table.rows))
+    yield from _elements("rm2", S, _commutes_with_plus(T.plus_row))
 
 
 def _pm_instances(S, T):
-    comp, plus = T.table.comp, T.plus
+    val, plus = T.table.rows, T.plus_row
 
     def pm2(f, a, a_plus):
         # f(a)+ <= f(a+) in the natural order: (f(a)+)+ f(a+) = f(a)+
         e = plus[f[a]]
-        return comp.get((plus[e], f[a_plus])) == e
+        return val[plus[e]][f[a_plus]] == e
 
-    yield from _products("pm1", S, _weakly_multiplicative(comp, plus))
+    yield from _products("pm1", S, _weakly_multiplicative(val, plus))
     yield from _elements("pm2", S, pm2)
 
 
 def _ir_instances(T, L):
-    yield from _products("ir1", T, _multiplicative(L.table.comp))
-    yield from _elements("ir2", T, _commutes_with_plus(L.plus))
+    yield from _products("ir1", T, _multiplicative(L.table.rows))
+    yield from _elements("ir2", T, _commutes_with_plus(L.plus_row))
     yield from _order_pairs("ir3", T, L)
     yield from _corestrictions("ir4", T, L)
 
 
 def _ip_instances(T, L):
-    cores = L._index()
-    pseudo = {(a, b): pseudo_product(L, a, b) for a in L.carrier for b in L.carrier}
-    l_plus, l_order = L.plus, L.order
-    l_plus_image = set(l_plus.values())
+    val, plus, cores = L.table.rows, L.plus_row, L._index()
+    le, top, image = cores.le, cores.top, frozenset(cores.image)
+    # the pseudo-product rows: (x|y+) y, None where x|y+ has no maximum
+    # or (x|y+) y is undefined
+    pseudo = []
+    for x in range(len(val)):
+        tops = [top[e][x] for e in plus]
+        pseudo.append([None if m is None else val[m][y]
+                       for y, m in enumerate(tops)])
 
     def ip2(f, a, a_plus):
-        return (l_plus[f[a]], f[a_plus]) in l_order
+        return le[plus[f[a]]][f[a_plus]]
 
     def ip5(f, e, x, r):
         # f(e)|f(x)+ = f(e|x)+, with f(e) in L+
-        if f[e] not in l_plus_image:
-            return False
-        m = cores.top[cores.position[l_plus[f[x]]]][cores.position[f[e]]]
-        return m is not None and L.carrier[m] == l_plus[f[r]]
+        return f[e] in image and top[plus[f[x]]][f[e]] == plus[f[r]]
 
     def plus_image(f, e):
-        return f[e] in l_plus_image
+        return f[e] in image
 
-    yield from _products("ip1", T, _weakly_multiplicative(pseudo, l_plus))
+    yield from _products("ip1", T, _weakly_multiplicative(pseudo, plus))
     yield from _elements("ip2", T, ip2)
     yield from _order_pairs("ip3", T, L)
     yield from _corestrictions("ip4", T, L)
-    for e in T.plus_image():
-        for x in T.carrier:
-            try:
-                r = restriction(T, e, x)
-            except (NotApplicableError, NonUniqueError):
-                continue
-            yield "ip5", (e, x), (e, x, r), ip5
+    source, t_plus = T._index(), T.plus_row
+    for e in source.image:
+        for x, x_plus in enumerate(t_plus):
+            # the restriction e|x, the one y <= x with y+ = e, if e <= x+
+            if source.le[e][x_plus]:
+                found = [y for y in source.down[x] if t_plus[y] == e]
+                if len(found) == 1:
+                    yield "ip5", (e, x), (e, x, found[0]), ip5
     # derived requirement: plus-elements land on plus-elements
-    for e in T.plus_image():
+    for e in source.image:
         yield "plus-image", (e,), (e,), plus_image
 
 
@@ -248,17 +243,18 @@ _KIND_ALIASES = {
 def _instances(kind, source, target):
     cls, build = MORPHISM_KINDS[kind]
     _require(source, target, cls)
-    return tuple(build(source, target))
+    return build(source, target)
 
 
 def check_morphism(kind, m):
     """Every failing instance of the axioms of kind (rm, pm, ir or ip)."""
-    f = m.mapping
-    return ValidationReport(
-        Violation(axiom, witness)
-        for axiom, witness, support, test in _instances(kind, m.source, m.target)
-        if not test(f, *support)
-    )
+    source, target = m.source, m.target
+    instances = _instances(kind, source, target)
+    position = _positions(target.carrier)
+    f = [position[m.mapping[x]] for x in source.carrier]
+    return _named_report(source.carrier, (
+        (axiom, witness) for axiom, witness, support, test in instances
+        if not test(f, *support)))
 
 
 def is_restriction_morphism(m):
@@ -291,26 +287,25 @@ def _map_cap_from_env(default=DEFAULT_MAP_CAP):
     return value if value is not None and value > 8 else default
 
 
-def _search(source, target, instances):
-    """Depth-first over images in source-carrier order; yields each total
-    mapping that passes every instance, in lexicographic order."""
-    carrier, values = source.carrier, target.carrier
-    position = {x: i for i, x in enumerate(carrier)}
-    due = [[] for _ in carrier]
+def _search(k, n, instances):
+    """Depth-first over the images of source indices 0..k-1 among target
+    indices 0..n-1, in index order; yields each map f (f[x] the image of
+    x, one list reassigned in place) that passes every instance, in
+    lexicographic order."""
+    due = [[] for _ in range(k)]
     for _, _, support, test in instances:
-        due[max(position[x] for x in support)].append((test, support))
-    f = {}
+        due[max(support)].append((test, support))
+    f = [None] * k
 
     def assign(i):
-        if i == len(carrier):
-            yield dict(f)
+        if i == k:
+            yield f
             return
-        x, tests = carrier[i], due[i]
-        for y in values:
-            f[x] = y
+        tests = due[i]
+        for y in range(n):
+            f[i] = y
             if all(test(f, *support) for test, support in tests):
                 yield from assign(i + 1)
-        del f[x]
 
     return assign(0)
 
@@ -331,9 +326,10 @@ def enumerate_morphisms(kind, source, target, cap=None):
     if kind != "any" and kind not in MORPHISM_KINDS:
         raise ValueError(f"unknown morphism kind {kind!r}")
     instances = () if kind == "any" else _instances(kind, source, target)
+    carrier, values = source.carrier, target.carrier
     return tuple(
-        MorphismMap(source, target, f) for f in _search(source, target, instances)
-    )
+        MorphismMap(source, target, zip(carrier, [values[y] for y in f]))
+        for f in _search(k, n, instances))
 
 
 def transport(m, direction):

@@ -146,6 +146,38 @@ def test_check_morphism_kind_mismatch(capsys, fixture_dir, tmp_path):
     assert code == 2 and "constellation" in err
 
 
+# x|e has two incomparable candidates, a and b, and no maximum, so the
+# pseudo-products (x|y+) y are missing where y+ = e: the file fails wo4
+_BROKEN_CONSTELLATION = (
+    "kind constellation\nelements a b e x\n"
+    + "".join(f"plus {z} e\n" for z in "abex")
+    + "comp a e a\ncomp b e b\ncomp e e e\norder a x\norder b x\n")
+
+
+def test_check_morphism_on_a_constellation_that_fails_its_axioms(
+        capsys, tmp_path):
+    cst = tmp_path / "broken.cst"
+    cst.write_text(_BROKEN_CONSTELLATION)
+    code, out, err = run(capsys, "verify", str(cst))
+    assert code == 1 and "wo4" in out
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # the identity fails ip1 exactly where a pseudo-product is missing
+    for mapping in ("abex", "xxex", "aaee"):
+        mor = tmp_path / "m.mor"
+        mor.write_text(f"source {cst}\ntarget {cst}\n" + "".join(
+            f"map {x} {y}\n" for x, y in zip("abex", mapping)))
+        for kind in ("ir", "ip"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "constella.cli", "check-morphism",
+                 "--kind", kind, str(mor)],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert proc.stderr == "" and proc.returncode in (0, 1)
+            doc = json.loads(proc.stdout)
+            assert doc["valid"] is (proc.returncode == 0)
+
+
 def test_extend_produces_the_anchor_projection(capsys, fixture_dir, tmp_path):
     _, out, _ = run(
         capsys, "convert", "--to", "constellation", fixture_path(fixture_dir, "ex6_5")

@@ -6,8 +6,9 @@
   labelled structure that the generators replaced are kept here as the
   reference: on str, int, tuple and Szendrei carriers, valid or not, each
   checker must report the reference scan's violations in the same order.
-- _check_partial_order tests transitivity through successor lists; the
-  plain scan over all pairs of pairs is kept here as the reference.
+- The OrderedConstellation constructor checks its order on up-lists in
+  index order (core._order_rows_problem); the plain scan over all pairs
+  of pairs, in carrier order, is kept here as the reference.
 - Szendrei elements keep their sort key and build their repr from it;
   here both are recomputed from scratch, recursively.
 - wo1 visits only the pairs of order pairs whose products are defined;
@@ -65,7 +66,6 @@ from constella.core import (
     LeftRestrictionSemigroupoid,
     PartialTable,
     Violation,
-    _check_partial_order,
     _named_report,
     check_left_restriction,
     check_semigroupoid,
@@ -689,8 +689,10 @@ def test_reports_do_not_depend_on_the_hash_seed():
 
 
 def _pair_scan(pairs, carrier):
-    """The partial-order check as a plain scan over all pairs of pairs."""
-    pairs = frozenset(pairs)
+    """The partial-order check as a plain scan over all pairs of pairs, each
+    in carrier order."""
+    position = {x: i for i, x in enumerate(carrier)}
+    pairs = sorted(pairs, key=lambda p: (position[p[0]], position[p[1]]))
     for a in carrier:
         if (a, a) not in pairs:
             return f"not reflexive at {a!r}"
@@ -701,6 +703,17 @@ def _pair_scan(pairs, carrier):
         for c, d in pairs:
             if b == c and (a, d) not in pairs:
                 return f"not transitive at {(a, b, d)!r}"
+    return None
+
+
+def _order_problem(rel, carrier):
+    """The OrderedConstellation constructor's complaint about rel as the
+    order of the empty table on carrier, or None when it accepts it."""
+    try:
+        OrderedConstellation(PartialTable(carrier, {}),
+                             {x: x for x in carrier}, rel)
+    except ValueError as error:
+        return str(error).removeprefix("order is not a partial order: ")
     return None
 
 
@@ -716,11 +729,16 @@ def test_partial_order_check_matches_the_pair_scan_exhaustively():
         carrier = tuple("abc"[:n])
         for rel in _relations(carrier):
             expected = _pair_scan(rel, carrier)
-            assert _check_partial_order(rel, carrier) == expected
+            assert _order_problem(rel, carrier) == expected
             outcomes.add(None if expected is None else expected.split(" at")[0])
-    # Pairs that name an element outside the carrier do not raise.
+    # Pairs that name an element outside the carrier are rejected first.
     for rel in _relations(("a", "b", "z")):
-        assert _check_partial_order(rel, ("a", "b")) == _pair_scan(rel, ("a", "b"))
+        if any("z" in pair for pair in rel):
+            assert _order_problem(rel, ("a", "b")).endswith(
+                " leaves the carrier")
+        else:
+            assert _order_problem(rel, ("a", "b")) == \
+                _pair_scan(rel, ("a", "b"))
     assert outcomes == {None, "not reflexive", "not antisymmetric",
                         "not transitive"}
 
@@ -729,7 +747,7 @@ def test_partial_order_check_matches_the_pair_scan_on_a_sample():
     rng = random.Random(20261018)
     carrier = tuple("abcde")
     universe = carrier + ("z",)
-    transitive_failures = 0
+    transitive_failures = leaving = 0
     for _ in range(3000):
         rel = {(a, a) for a in carrier if rng.random() < 0.97}
         density = rng.random()
@@ -738,10 +756,15 @@ def test_partial_order_check_matches_the_pair_scan_on_a_sample():
                 if rng.random() < 0.9 and (b, a) in rel:
                     continue
                 rel.add((a, b))
+        problem = _order_problem(rel, carrier)
+        if any("z" in pair for pair in rel):
+            assert problem.endswith(" leaves the carrier")
+            leaving += 1
+            continue
         expected = _pair_scan(rel, carrier)
-        assert _check_partial_order(rel, carrier) == expected
+        assert problem == expected
         transitive_failures += bool(expected and "transitive" in expected)
-    assert transitive_failures > 100
+    assert transitive_failures > 100 and leaving
 
 
 def _ref_key(x):
@@ -814,9 +837,9 @@ def _lic_edits(t):
 
 
 def _order_edits(t):
-    for pair in product(t.carrier, repeat=2):
-        order = t.order ^ {pair}
-        if pair[0] != pair[1] and _check_partial_order(order, t.carrier) is None:
+    for a, b in product(t.carrier, repeat=2):
+        order = t.order ^ {(a, b)}
+        if a != b and _pair_scan(order, t.carrier) is None:
             yield OrderedConstellation(t.table, t.plus, order)
 
 
@@ -901,7 +924,7 @@ def _natural_order_reference(s):
     comp, plus = s.table.comp, s.plus
     rel = frozenset((a, b) for a, b in product(s.carrier, repeat=2)
                     if comp.get((plus[a], b)) == a)
-    problem = _check_partial_order(rel, s.carrier)
+    problem = _pair_scan(rel, s.carrier)
     if problem is not None:
         raise InvalidOrderError(problem)
     return rel

@@ -1,14 +1,30 @@
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from constella import enumerate as enumerate_module
 from constella import fixtures, morphism
+from constella.constellation import (
+    NonUniqueError,
+    NotApplicableError,
+    OrderedConstellation,
+    corestriction,
+    pseudo_product,
+    restriction,
+)
+from constella.core import PartialTable, Violation
+from constella.enumerate import (
+    enumerate_li_constellations,
+    enumerate_lr_semigroupoids,
+)
 from constella.functor import build_C
 from constella.szendrei import expand_constellation
 from constella.morphism import (
     CapExceededError,
     MorphismMap,
+    check_morphism,
     compose,
     enumerate_morphisms,
     identity_morphism,
@@ -90,11 +106,139 @@ def test_one_cap_error_type():
     assert morphism.CapExceededError is enumerate_module.CapExceededError
 
 
+# --- reference: the axiom instances over the labelled structures ---
+#
+# The checkers build their instances on carrier indices from the stored
+# rows.  These are the labelled scans they replaced, on the labelled views
+# and the public operations (corestriction, restriction, pseudo_product):
+# the same instances, with the same witnesses, in carrier order.
+
+
+def _ref_products(axiom, S, test):
+    comp = S.table.comp
+    for a, b in product(S.carrier, repeat=2):
+        ab = comp.get((a, b))
+        if ab is not None:
+            yield axiom, (a, b), (a, b, ab), test
+
+
+def _ref_elements(axiom, S, test):
+    for a, a_plus in S.plus.items():
+        yield axiom, (a,), (a, a_plus), test
+
+
+def _ref_order_pairs(axiom, T, L):
+    source, order = T.order, L.order
+
+    def test(f, a, b):
+        return (f[a], f[b]) in order
+    for pair in product(T.carrier, repeat=2):
+        if pair in source:
+            yield axiom, pair, pair, test
+
+
+def _ref_corestrictions(axiom, T, L):
+    target = L.corestrictions()
+
+    def test(f, x, e, c):
+        r = target.get((f[x], f[e]))  # None unless f(e) is in L+
+        return r is not None and r.exists and r.value == f[c]
+    for e in T.plus_image():
+        for x in T.carrier:
+            r = corestriction(T, x, e)
+            if r.exists:
+                yield axiom, (x, e), (x, e, r.value), test
+
+
+def _ref_multiplicative(comp):
+    def test(f, a, b, ab):
+        return comp.get((f[a], f[b])) == f[ab]
+    return test
+
+
+def _ref_weakly_multiplicative(product, plus):
+    def test(f, a, b, ab):
+        lhs = product.get((f[a], f[b]))
+        return lhs is not None and lhs == product.get((plus[f[a]], f[ab]))
+    return test
+
+
+def _ref_commutes_with_plus(plus):
+    def test(f, a, a_plus):
+        return f[a_plus] == plus[f[a]]
+    return test
+
+
+def _ref_rm(S, T):
+    yield from _ref_products("rm1", S, _ref_multiplicative(T.table.comp))
+    yield from _ref_elements("rm2", S, _ref_commutes_with_plus(T.plus))
+
+
+def _ref_pm(S, T):
+    comp, plus = T.table.comp, T.plus
+
+    def pm2(f, a, a_plus):
+        e = plus[f[a]]
+        return comp.get((plus[e], f[a_plus])) == e
+
+    yield from _ref_products("pm1", S, _ref_weakly_multiplicative(comp, plus))
+    yield from _ref_elements("pm2", S, pm2)
+
+
+def _ref_ir(T, L):
+    yield from _ref_products("ir1", T, _ref_multiplicative(L.table.comp))
+    yield from _ref_elements("ir2", T, _ref_commutes_with_plus(L.plus))
+    yield from _ref_order_pairs("ir3", T, L)
+    yield from _ref_corestrictions("ir4", T, L)
+
+
+def _ref_ip(T, L):
+    pseudo = {(a, b): pseudo_product(L, a, b)
+              for a, b in product(L.carrier, repeat=2)}
+    plus, order, image = L.plus, L.order, set(L.plus_image())
+
+    def ip2(f, a, a_plus):
+        return (plus[f[a]], f[a_plus]) in order
+
+    def ip5(f, e, x, r):
+        if f[e] not in image:
+            return False
+        m = corestriction(L, f[e], plus[f[x]])
+        return m.exists and m.value == plus[f[r]]
+
+    def plus_image(f, e):
+        return f[e] in image
+
+    yield from _ref_products("ip1", T, _ref_weakly_multiplicative(pseudo, plus))
+    yield from _ref_elements("ip2", T, ip2)
+    yield from _ref_order_pairs("ip3", T, L)
+    yield from _ref_corestrictions("ip4", T, L)
+    for e in T.plus_image():
+        for x in T.carrier:
+            try:
+                r = restriction(T, e, x)
+            except (NotApplicableError, NonUniqueError):
+                continue
+            yield "ip5", (e, x), (e, x, r), ip5
+    for e in T.plus_image():
+        yield "plus-image", (e,), (e,), plus_image
+
+
+_REFERENCE = {"rm": _ref_rm, "pm": _ref_pm, "ir": _ref_ir, "ip": _ref_ip}
+
+
+def _reference_violations(kind, m):
+    f = m.mapping
+    return tuple(Violation(axiom, witness) for axiom, witness, support, test
+                 in _REFERENCE[kind](m.source, m.target)
+                 if not test(f, *support))
+
+
 def _brute_force(kind, S, T):
     """Reference: every total map, in lexicographic order, kept when the
-    reporting checker's instances all hold.  The instances are built once
-    per pair, as the reporting checker would build them for each map."""
-    instances = morphism._instances(kind, S, T)
+    reference instances all hold.  The instances are built once per pair,
+    as the reference checker would build them for each map."""
+    instances = list(_REFERENCE[kind](S, T))
     found = []
     for images in product(T.carrier, repeat=len(S.carrier)):
         f = dict(zip(S.carrier, images))
@@ -121,6 +265,59 @@ def test_search_matches_brute_force(census_lrs_2, census_lic_2):
     for kind, source, target in cases:
         assert enumerate_morphisms(kind, source, target) == \
             _brute_force(kind, source, target)
+
+
+def _edited(rng, x):
+    """x with one to three random table cells and perhaps one plus image
+    changed: a structure of the same kind that mostly fails its axioms."""
+    carrier, comp, plus = x.carrier, x.table.comp, x.plus
+    for _ in range(rng.randint(1, 3)):
+        pair = rng.choice(carrier), rng.choice(carrier)
+        value = rng.choice((None,) + carrier)
+        if value is None:
+            comp.pop(pair, None)
+        else:
+            comp[pair] = value
+    if rng.random() < 0.5:
+        plus[rng.choice(carrier)] = rng.choice(carrier)
+    parts = (PartialTable(carrier, comp), plus)
+    if isinstance(x, OrderedConstellation):
+        parts += (x.order,)
+    return type(x)(*parts)
+
+
+def test_checkers_match_the_reference_on_random_maps(census_lrs_2, census_lic_2):
+    rng = random.Random(20261019)
+    lrs = census_lrs_2 + list(enumerate_lr_semigroupoids(3)) + \
+        list(fixtures.lr_fixtures().values())
+    lic = census_lic_2 + list(enumerate_li_constellations(3)) + \
+        [build_C(s) for s in fixtures.lr_fixtures().values()] + \
+        [expand_constellation(t) for t in census_lic_2]
+    seen = Counter()
+    for _ in range(1500):
+        for kinds, pool in ((("rm", "pm"), lrs), (("ir", "ip"), lic)):
+            S = rng.choice(pool)
+            T = S if rng.random() < 0.3 else rng.choice(pool)
+            if rng.random() < 0.5:
+                S = _edited(rng, S)
+            if rng.random() < 0.5:
+                T = _edited(rng, T)
+            if S.carrier == T.carrier and rng.random() < 0.5:
+                # the identity with at most one image moved
+                mapping = {x: x for x in S.carrier}
+                mapping[rng.choice(S.carrier)] = rng.choice(T.carrier)
+            else:
+                mapping = {x: rng.choice(T.carrier) for x in S.carrier}
+            m = MorphismMap(S, T, mapping)
+            for kind in kinds:
+                got = check_morphism(kind, m).violations
+                assert got == _reference_violations(kind, m), (kind, m)
+                seen.update(v.axiom for v in got)
+                seen[kind, not got] += 1
+    axioms = {"rm1", "rm2", "pm1", "pm2", "ir1", "ir2", "ir3", "ir4",
+              "ip1", "ip2", "ip3", "ip4", "ip5", "plus-image"}
+    assert axioms <= set(seen)
+    assert all(seen[kind, True] > 10 for kind in ("rm", "pm", "ir", "ip"))
 
 
 def test_every_restriction_morphism_is_a_premorphism(census_lrs_2):
