@@ -131,6 +131,8 @@ def cmd_extend(args):
         tgt, OrderedConstellation
     ):
         raise ParseError("extend expects a morphism between constellation files")
+    if _reported_invalid(src.validate()) or _reported_invalid(tgt.validate()):
+        return 1
     phi = MorphismMap(src, tgt, mapping)
     if _reported_invalid(is_inductive_preradiant(phi)):
         return 1

@@ -10,7 +10,8 @@ witnesses back through the carrier (core._named_report); the labelled
 comp, plus and order are views built from them on each access.  From
 the up-lists come the boolean rows (le[x][y] when x <= y) and the
 down-lists, which a constellation keeps with its corestriction index
-(_Index), built on first use.
+(_Index), built on first use.  The elements (A, a) of a Szendrei
+expansion are coded over their base's indices (_subset_codes).
 """
 
 
@@ -105,6 +106,46 @@ def _down_lists(up):
         for y in above:
             down[y].append(x)
     return down
+
+
+def _subset_codes(elements, carrier, val):
+    """Elements (A, a) with A a subset of carrier, as in a Szendrei
+    expansion, coded over the carrier's indices, with the carrier's table
+    rows val: (anchors, masks, images, code).  For elements[i] = (A, a),
+    anchors[i] is the index of a and masks[i] the bitmask of the indices
+    in A; images[u][i] is uA = {ux : x in A} as a bitmask, computed once
+    per u and distinct A, or, where some ux is undefined, ~x < 0 for the
+    first such x in index order (so image | mask == mask fails); code maps
+    (mask, anchor index) to i."""
+    position = _positions(carrier)
+    masks = [_mask(p.subset, position) for p in elements]
+    anchors = [position[p.anchor] for p in elements]
+    code = {key: i for i, key in enumerate(zip(masks, anchors))}
+    subsets = {mask: _indices(mask) for mask in masks}
+    images = []
+    for row in val:
+        by_mask = {}
+        for mask, xs in subsets.items():
+            image = 0
+            for x in xs:
+                v = row[x]
+                if v is None:
+                    image = ~x
+                    break
+                image |= 1 << v
+            by_mask[mask] = image
+        images.append([by_mask[mask] for mask in masks])
+    return anchors, masks, images, code
+
+
+def _mask(subset, position):
+    """The bitmask of the indices of the elements of subset."""
+    return sum([1 << position[y] for y in subset])
+
+
+def _indices(mask):
+    """The indices in a bitmask, in index order."""
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
 class _Index:

@@ -188,14 +188,16 @@ class _PlusStructure:
 
 
 def _from_rows(cls, *fields):
-    """The cls (a table or a structure) stored as fields, the arguments of
-    its _keep, without its constructor's checks.
+    """The cls (a table, a structure or a map) stored as fields, the
+    arguments of its _keep, without its constructor's checks.
 
-    Only for fields built in index space by a caller that has checked them
-    or derived them from a checked structure: a tuple of distinct elements
-    and a tuple of tuples of their indices or None (a table), a table and
-    a tuple of carrier indices (plus), and for a constellation the
-    up-lists (tuples) of a partial order.
+    Only for fields built by a caller that has checked them or derived
+    them from a checked structure: a tuple of distinct elements and a
+    tuple of tuples of their indices or None (a table), a table and a
+    tuple of carrier indices (plus), and for a constellation the up-lists
+    (tuples) of a partial order; for a morphism.MorphismMap, its source,
+    target and a dict total on the source carrier with values in the
+    target carrier.
     """
     x = cls.__new__(cls)
     x._keep(*fields)

@@ -22,7 +22,7 @@ lexicographic order of the |T|^|S| total maps, each named once.
 
 from .coded import _positions
 from .constellation import OrderedConstellation
-from .core import LeftRestrictionSemigroupoid, _named_report
+from .core import LeftRestrictionSemigroupoid, _from_rows, _named_report
 from .enumerate import CapExceededError, cap_from_env
 from .functor import build_C, build_G
 
@@ -50,6 +50,9 @@ class MorphismMap:
 
     The source and target structures are part of the identity: the same
     function may be a morphism for one plus-structure and not another.
+    The constructor checks the mapping total on the source carrier with
+    image inside the target's; core._from_rows stores a map the caller
+    built that way (the search, composition, iota and extend).
     """
 
     __slots__ = ("source", "target", "mapping")
@@ -60,6 +63,9 @@ class MorphismMap:
             raise ValueError("mapping must be total on the source carrier")
         if not set(mapping.values()) <= set(target.carrier):
             raise ValueError("mapping image leaves the target carrier")
+        self._keep(source, target, mapping)
+
+    def _keep(self, source, target, mapping):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "mapping", mapping)
@@ -328,7 +334,8 @@ def enumerate_morphisms(kind, source, target, cap=None):
     instances = () if kind == "any" else _instances(kind, source, target)
     carrier, values = source.carrier, target.carrier
     return tuple(
-        MorphismMap(source, target, zip(carrier, [values[y] for y in f]))
+        _from_rows(MorphismMap, source, target,
+                   dict(zip(carrier, [values[y] for y in f])))
         for f in _search(k, n, instances))
 
 
@@ -351,6 +358,7 @@ def compose(m2, m1):
     """Function composition m2 after m1; requires matching middle structure."""
     if m1.target != m2.source:
         raise ValueError("target of the first morphism must equal source of the second")
-    return MorphismMap(
-        m1.source, m2.target, {x: m2.mapping[m1.mapping[x]] for x in m1.source.carrier}
-    )
+    # total on the source of m1, with images in the target of m2
+    f, g = m1.mapping, m2.mapping
+    return _from_rows(MorphismMap, m1.source, m2.target,
+                      {x: g[f[x]] for x in m1.source.carrier})

@@ -4,13 +4,32 @@ Elements of an expansion are pairs (A, a): A a finite subset of the carrier
 whose members share one plus-value e with e in A, and a in A.  Expansions of
 semigroupoids and of constellations are built over the same canonical
 carrier so the two composite constructions agree literally.
+
+Both expansions are built in index space from the stored rows of their
+base (coded.py).  Each element (A, a) is coded once as (bitmask of A,
+index of a), with one dict from that code to its index in the carrier,
+and each uA = {ux : x in A} is a bitmask, computed once per u and A:
+
+  in Sz(S), (A,a)(B,b) = ((ab)+A union aB, ab) when ab is defined;
+  in Sz(T), (A,a)(B,b) = (A, ab) when ab is defined and aB is inside A;
+  in Sz(T), (A,a) <= (B,b) iff a <= b and a+B is inside A.
+
+The rows are stored as they are (core._from_rows), after the checks the
+public constructors made on the labelled tables: the same exceptions,
+texts and precedence.  iota finds its images through the codes; extend
+reads the target's rows, plus_row and corestriction index.
 """
 
 from itertools import combinations
 
-from .coded import _positions
+from .coded import _indices, _le_rows, _mask, _positions, _subset_codes
 from .constellation import OrderedConstellation, corestriction
-from .core import LeftRestrictionSemigroupoid, PartialTable
+from .core import (
+    LeftRestrictionSemigroupoid,
+    PartialTable,
+    _from_rows,
+    _order_rows_problem,
+)
 from .morphism import MorphismMap
 
 __all__ = [
@@ -100,83 +119,121 @@ def _sz_carrier(carrier, plus):
     return tuple(sorted(elements))
 
 
-def _member_lookup(carrier):
-    """(subset, anchor) -> the carrier's own element, so that the tables of
-    an expansion hold carrier members and their lookups match by identity.
-    A pair outside the carrier (from an invalid input) is built fresh, for
-    the table constructor to reject."""
-    index = {(p.subset, p.anchor): p for p in carrier}
+def _coded_carrier(carrier, val, plus):
+    """The expansion's carrier over a base coded by index (val, plus), with
+    its coding (coded._subset_codes): (sz, anchors, masks, images, code).
 
-    def member(subset, anchor):
-        found = index.get((frozenset(subset), anchor))
-        return found if found is not None else SzendreiElement(subset, anchor)
+    sz repeats an element only when two plus-elements are each other's
+    plus, e+ = f and f+ = e, and then the plus of ({e}, e) is no element,
+    which _sz_plus_row rejects before anything reads the repeat.
+    """
+    sz = _sz_carrier(carrier, dict(zip(carrier, [carrier[e] for e in plus])))
+    return (sz, *_subset_codes(sz, carrier, val))
 
-    return member
+
+def _sz_plus_row(sz, carrier, anchors, masks, plus, code):
+    """(A, a)+ = (A, a+) coded by index, checked inside the carrier at each
+    (A, a) in carrier order."""
+    out = []
+    for p, a, mask in zip(sz, anchors, masks):
+        k = code.get((mask, plus[a]))
+        if k is None:
+            # a+ is not in A (an invalid plus map), so building (A, a+)
+            # raises, as the labelled construction did
+            SzendreiElement(p.subset, carrier[plus[a]])
+            raise ValueError("plus image leaves the carrier")
+        out.append(k)
+    return tuple(out)
 
 
 def expand_semigroupoid(s):
     """Expansion of a left restriction semigroupoid.
 
-    (A,a)(B,b) = ((ab)+ A ∪ aB, ab) when ab is defined; plus keeps the
+    (A,a)(B,b) = ((ab)+ A union aB, ab) when ab is defined; plus keeps the
     subset and applies the base plus to the anchor.
+
+    On an invalid base it raises what the labelled construction raised:
+    KeyError for the first product (in carrier order, the left subset
+    before the right) that needs an undefined ux, then the plus check of
+    _sz_plus_row, then ValueError for the first product that leaves the
+    carrier.
     """
-    comp, base_plus = s.table.comp, s.plus
-    carrier = _sz_carrier(s.carrier, base_plus)
-    member = _member_lookup(carrier)
-    sz_comp = {}
-    for p in carrier:
-        for q in carrier:
-            ab = comp.get((p.anchor, q.anchor))
+    carrier, val, plus = s.carrier, s.table.rows, s.plus_row
+    sz, anchors, masks, images, code = _coded_carrier(carrier, val, plus)
+    rows, leaving = [], None
+    for i, a in enumerate(anchors):
+        va, a_images, row = val[a], images[a], [None] * len(sz)
+        for j, b in enumerate(anchors):
+            ab = va[b]
             if ab is None:
                 continue
-            ab_plus = base_plus[ab]
-            subset = {comp[(ab_plus, x)] for x in p.subset}
-            subset |= {comp[(p.anchor, y)] for y in q.subset}
-            sz_comp[(p, q)] = member(subset, ab)
-    plus = {p: member(p.subset, base_plus[p.anchor]) for p in carrier}
-    return LeftRestrictionSemigroupoid(PartialTable(carrier, sz_comp), plus)
+            left, right = images[plus[ab]][i], a_images[j]
+            if left < 0:
+                raise KeyError((carrier[plus[ab]], carrier[~left]))
+            if right < 0:
+                raise KeyError((carrier[a], carrier[~right]))
+            row[j] = k = code.get((left | right, ab))
+            if k is None and leaving is None:
+                leaving = i, j, left | right, ab
+        rows.append(tuple(row))
+    plus_row = _sz_plus_row(sz, carrier, anchors, masks, plus, code)
+    if leaving is not None:
+        i, j, mask, ab = leaving
+        entry = sz[i], sz[j], SzendreiElement(
+            [carrier[x] for x in _indices(mask)], carrier[ab])
+        raise ValueError(f"comp entry {entry!r} leaves the carrier")
+    return _from_rows(LeftRestrictionSemigroupoid,
+                      _from_rows(PartialTable, sz, tuple(rows)), plus_row)
 
 
 def expand_constellation(t):
     """Expansion of an ordered constellation.
 
-    (A,a)(B,b) = (A, ab) when ab is defined and aB ⊆ A; the order is
-    (A,a) <= (B,b) iff a <= b and a+ B ⊆ A, products taken in t.
+    (A,a)(B,b) = (A, ab) when ab is defined and aB is inside A; the order
+    is (A,a) <= (B,b) iff a <= b and a+ B is inside A, products taken in
+    t.
+
+    On an invalid base it raises what the labelled construction raised:
+    the plus check of _sz_plus_row, then ValueError when the order is not
+    a partial order.
     """
-    comp, base_plus, base_order = t.table.comp, t.plus, t.order
-    carrier = _sz_carrier(t.carrier, base_plus)
-    member = _member_lookup(carrier)
-    sz_comp = {}
-    for p in carrier:
-        for q in carrier:
-            ab = comp.get((p.anchor, q.anchor))
-            if ab is None:
-                continue
-            images = [comp.get((p.anchor, y)) for y in q.subset]
-            if any(img is None or img not in p.subset for img in images):
-                continue
-            sz_comp[(p, q)] = member(p.subset, ab)
-    plus = {p: member(p.subset, base_plus[p.anchor]) for p in carrier}
-    order = set()
-    for p in carrier:
-        for q in carrier:
-            if (p.anchor, q.anchor) not in base_order:
-                continue
-            a_plus = base_plus[p.anchor]
-            images = [comp.get((a_plus, y)) for y in q.subset]
-            if any(img is None or img not in p.subset for img in images):
-                continue
-            order.add((p, q))
-    return OrderedConstellation(PartialTable(carrier, sz_comp), plus, order)
+    carrier, val, plus = t.carrier, t.table.rows, t.plus_row
+    sz, anchors, masks, images, code = _coded_carrier(carrier, val, plus)
+    le = _le_rows(t.up)
+    rows, up = [], []
+    for i, a in enumerate(anchors):
+        mask, va, a_images, row = masks[i], val[a], images[a], [None] * len(sz)
+        for j, b in enumerate(anchors):
+            ab = va[b]
+            if ab is not None and a_images[j] | mask == mask:
+                row[j] = code[mask, ab]
+        rows.append(tuple(row))
+        above, plus_images = le[a], images[plus[a]]
+        up.append(tuple([j for j, b in enumerate(anchors)
+                         if above[b] and plus_images[j] | mask == mask]))
+    plus_row = _sz_plus_row(sz, carrier, anchors, masks, plus, code)
+    up = tuple(up)
+    problem = _order_rows_problem(sz, _le_rows(up), up)
+    if problem is not None:
+        raise ValueError(f"order is not a partial order: {problem}")
+    return _from_rows(OrderedConstellation,
+                      _from_rows(PartialTable, sz, tuple(rows)), plus_row, up)
 
 
 def iota(t, expansion=None):
-    """The embedding x -> ({x+, x}, x) into the expansion of t."""
+    """The embedding x -> ({x+, x}, x) into the expansion of t, onto the
+    expansion's own members, found through their codes."""
     if expansion is None:
         expansion = expand_constellation(t)
-    plus = t.plus
-    mapping = {x: SzendreiElement({plus[x], x}, x) for x in t.carrier}
-    return MorphismMap(t, expansion, mapping)
+    position = _positions(t.carrier)
+    code = {(_mask(p.subset, position), position[p.anchor]): p
+            for p in expansion.carrier if isinstance(p, SzendreiElement)
+            and p.subset <= position.keys()}
+    images = [code.get(((1 << x) | (1 << e), x))
+              for x, e in enumerate(t.plus_row)]
+    if None in images:
+        raise ValueError("mapping image leaves the target carrier")
+    return _from_rows(MorphismMap, t, expansion, dict(zip(t.carrier, images)))
 
 
 class Term:
@@ -233,9 +290,10 @@ def generation_decomposition(sz, el):
     Follows the shape (A,a) = (iota(a1)+ | ... | iota(an)+) iota(a) where
     a1..an run over A minus the shared plus-element.
     """
-    if el not in set(sz.carrier):
+    i = _positions(sz.carrier).get(el)
+    if i is None:
         raise ValueError(f"{el!r} is not in the expansion")
-    anchor_plus = sz.plus[el].anchor
+    anchor_plus = sz.carrier[sz.plus_row[i]].anchor
     if el.subset == frozenset({anchor_plus, el.anchor}):
         return Leaf(el.anchor)
     rest = sorted(x for x in el.subset if x != anchor_plus)
@@ -280,36 +338,36 @@ def evaluate_through(term, leaves, target):
     return value(term)
 
 
-def _meet_fold(target, elements):
-    """Left fold of the corestriction over plus-elements of the target."""
-    acc = elements[0]
-    for e in elements[1:]:
-        c = corestriction(target, acc, e)
-        if not c.exists:
-            raise MeetUndefinedError(f"no meet of {acc!r} and {e!r}")
-        acc = c.value
-    return acc
-
-
 def extend(phi, expansion=None):
     """The unique radiant on the expansion agreeing with phi through iota.
 
     phi must be an inductive preradiant T -> L; the result maps (A, x) to
     (meet of phi(a)+ over a in A) phi(x), with the meet folded over the
-    canonical subset order.
+    canonical subset order, each step x|e read from the target's
+    corestriction index.
     """
     t, target, f = phi.source, phi.target, phi.mapping
     if expansion is None:
         expansion = expand_constellation(t)
-    comp, plus = target.table.comp, target.plus
+    carrier, val, plus = target.carrier, target.table.rows, target.plus_row
+    top = target._index().top
+    position = _positions(carrier)
+    image = {a: position[f[a]] for a in t.carrier}
+    image_plus = {a: plus[y] for a, y in image.items()}
     mapping = {}
     for el in expansion.carrier:
-        plusses = [plus[f[a]] for a in sorted(el.subset)]
-        m = _meet_fold(target, plusses)
-        value = comp.get((m, f[el.anchor]))
+        members = el.sort_key()[1]
+        plusses = [image_plus[a] for a in members]
+        m = plusses[0]
+        for e in plusses[1:]:
+            if top[e][m] is None:
+                raise MeetUndefinedError(
+                    f"no meet of {carrier[m]!r} and {carrier[e]!r}")
+            m = top[e][m]
+        value = val[m][image[el.anchor]]
         if value is None:
             raise MeetUndefinedError(
-                f"{m!r} does not compose with {f[el.anchor]!r}"
+                f"{carrier[m]!r} does not compose with {f[el.anchor]!r}"
             )
-        mapping[el] = value
-    return MorphismMap(expansion, target, mapping)
+        mapping[el] = carrier[value]
+    return _from_rows(MorphismMap, expansion, target, mapping)

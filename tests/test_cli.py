@@ -373,3 +373,61 @@ def test_order_cycle_message_does_not_depend_on_the_hash_seed(tmp_path):
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
             "error: order is not a partial order: cycle through '0' and '1'\n")
+
+
+# a constellation file whose identity passes ip1-ip5 but which fails wo
+# axioms; its expansion's order is not even reflexive
+_INVALID_SOURCE = (
+    "kind constellation\nelements a b c\nplus a b\nplus b b\nplus c c\n"
+    "comp a b c\ncomp a c c\ncomp b b c\ncomp c b b\ncomp c c b\n"
+    "order a b\n")
+
+
+def test_extend_reports_an_invalid_source(capsys, tmp_path):
+    (tmp_path / "t.sgpd").write_text(_INVALID_SOURCE)
+    mor = tmp_path / "phi.map"
+    mor.write_text("source t.sgpd\ntarget t.sgpd\nmap a a\nmap b b\nmap c c\n")
+    code, out, _ = run(capsys, "check-morphism", "--kind", "ip", str(mor))
+    assert code == 0
+    code, out, err = run(capsys, "extend", "--phi", str(mor))
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["valid"] is False and doc["violations"]
+    _, verified, _ = run(capsys, "verify", str(tmp_path / "t.sgpd"))
+    assert out == verified
+
+
+# Runs expand on every fixture and expand and expand --iota on its
+# constellation, in one interpreter, and prints every exit code and output.
+_EXPAND_ALL = """
+import contextlib, io, sys
+from pathlib import Path
+from constella.cli import main
+tmp = Path(sys.argv[1])
+for path in sorted(Path(sys.argv[2]).glob("*.sgpd")):
+    runs = [["expand", str(path)], ["convert", "--to", "constellation", str(path)]]
+    cst = tmp / (path.stem + ".cst")
+    for argv in runs + [["expand", str(cst)], ["expand", "--iota", str(cst)]]:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        if argv[0] == "convert":
+            cst.write_text(buf.getvalue())
+        print(path.stem, *argv[:-1], code)
+        print(buf.getvalue())
+"""
+
+
+def test_expand_output_does_not_depend_on_the_hash_seed(fixture_dir, tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("0", "4242"):  # one directory: --iota prints the file path
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _EXPAND_ALL, str(tmp_path), str(fixture_dir)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("expand --iota 0") == len(fixtures.all_fixtures())

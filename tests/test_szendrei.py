@@ -1,11 +1,25 @@
+import random
+from collections import Counter
+from itertools import chain, product
+
 import pytest
 
 from constella import fixtures
-from constella.constellation import corestriction, pseudo_product
+from constella.constellation import (
+    OrderedConstellation,
+    corestriction,
+    pseudo_product,
+)
+from constella.core import LeftRestrictionSemigroupoid, PartialTable
+from constella.enumerate import (
+    enumerate_li_constellations,
+    enumerate_lr_semigroupoids,
+)
 from constella.functor import build_C, build_G
 from constella.morphism import (
     MorphismMap,
     compose,
+    enumerate_morphisms,
     identity_morphism,
     is_inductive_preradiant,
     is_inductive_radiant,
@@ -17,6 +31,7 @@ from constella.szendrei import (
     MeetUndefinedError,
     Plus,
     SzendreiElement,
+    _sz_carrier,
     evaluate_term,
     expand_constellation,
     expand_semigroupoid,
@@ -230,3 +245,296 @@ def test_extend_rejects_component_crossing_images():
     assert not is_inductive_preradiant(bad).valid
     with pytest.raises(MeetUndefinedError):
         extend(bad)
+
+
+# --- the labelled constructions, kept as the reference ---
+#
+# These are the expansions, iota and extend as they were written on the
+# labelled views (comp, plus, order) and the public constructors, which
+# check and code the labelled tables.  One change: the semigroupoid
+# expansion looks up the products of a subset in carrier order, where it
+# iterated the frozenset, whose order depends on the hash seed for str
+# labels, so that the KeyError names a seed-independent pair.
+
+
+def _ref_member_lookup(carrier):
+    index = {(p.subset, p.anchor): p for p in carrier}
+
+    def member(subset, anchor):
+        found = index.get((frozenset(subset), anchor))
+        return found if found is not None else SzendreiElement(subset, anchor)
+
+    return member
+
+
+def _ref_expand_semigroupoid(s):
+    comp, base_plus = s.table.comp, s.plus
+    carrier = _sz_carrier(s.carrier, base_plus)
+    member = _ref_member_lookup(carrier)
+    sz_comp = {}
+    for p in carrier:
+        for q in carrier:
+            ab = comp.get((p.anchor, q.anchor))
+            if ab is None:
+                continue
+            ab_plus = base_plus[ab]
+            A = [x for x in s.carrier if x in p.subset]
+            B = [y for y in s.carrier if y in q.subset]
+            subset = {comp[(ab_plus, x)] for x in A}
+            subset |= {comp[(p.anchor, y)] for y in B}
+            sz_comp[(p, q)] = member(subset, ab)
+    plus = {p: member(p.subset, base_plus[p.anchor]) for p in carrier}
+    return LeftRestrictionSemigroupoid(PartialTable(carrier, sz_comp), plus)
+
+
+def _ref_expand_constellation(t):
+    comp, base_plus, base_order = t.table.comp, t.plus, t.order
+    carrier = _sz_carrier(t.carrier, base_plus)
+    member = _ref_member_lookup(carrier)
+    sz_comp = {}
+    for p in carrier:
+        for q in carrier:
+            ab = comp.get((p.anchor, q.anchor))
+            if ab is None:
+                continue
+            images = [comp.get((p.anchor, y)) for y in q.subset]
+            if any(img is None or img not in p.subset for img in images):
+                continue
+            sz_comp[(p, q)] = member(p.subset, ab)
+    plus = {p: member(p.subset, base_plus[p.anchor]) for p in carrier}
+    order = set()
+    for p in carrier:
+        for q in carrier:
+            if (p.anchor, q.anchor) not in base_order:
+                continue
+            a_plus = base_plus[p.anchor]
+            images = [comp.get((a_plus, y)) for y in q.subset]
+            if any(img is None or img not in p.subset for img in images):
+                continue
+            order.add((p, q))
+    return OrderedConstellation(PartialTable(carrier, sz_comp), plus, order)
+
+
+def _ref_iota(t, expansion):
+    plus = t.plus
+    mapping = {x: SzendreiElement({plus[x], x}, x) for x in t.carrier}
+    return MorphismMap(t, expansion, mapping)
+
+
+def _ref_meet_fold(target, elements):
+    acc = elements[0]
+    for e in elements[1:]:
+        c = corestriction(target, acc, e)
+        if not c.exists:
+            raise MeetUndefinedError(f"no meet of {acc!r} and {e!r}")
+        acc = c.value
+    return acc
+
+
+def _ref_extend(phi, expansion):
+    target, f = phi.target, phi.mapping
+    comp, plus = target.table.comp, target.plus
+    mapping = {}
+    for el in expansion.carrier:
+        plusses = [plus[f[a]] for a in sorted(el.subset)]
+        m = _ref_meet_fold(target, plusses)
+        value = comp.get((m, f[el.anchor]))
+        if value is None:
+            raise MeetUndefinedError(
+                f"{m!r} does not compose with {f[el.anchor]!r}"
+            )
+        mapping[el] = value
+    return MorphismMap(expansion, target, mapping)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the outcome compared is the type and text
+        return type(exc), str(exc)
+
+
+def _failed(outcome):
+    return isinstance(outcome, tuple)
+
+
+def _assert_members(m):
+    """Every image of the map m is a member of its target's carrier."""
+    members = {id(p) for p in m.target.carrier}
+    assert all(id(v) in members for v in m.mapping.values())
+
+
+def _shifts(t):
+    """The identity and the maps x -> the element one or two places after
+    x in the carrier (cyclically), which may fail the meet fold."""
+    c = t.carrier
+    for k in range(min(len(c), 3)):
+        yield MorphismMap(t, t, {x: c[(i + k) % len(c)] for i, x in enumerate(c)})
+
+
+def _assert_matches(x):
+    """The expansion of x, and for a constellation iota and the extensions
+    of iota and of _shifts(x), equal the reference's, or fail with the same
+    exception type and text; returns the expansion's outcome."""
+    lrs = isinstance(x, LeftRestrictionSemigroupoid)
+    got = _outcome(expand_semigroupoid if lrs else expand_constellation, x)
+    want = _outcome(_ref_expand_semigroupoid if lrs
+                    else _ref_expand_constellation, x)
+    assert got == want, x
+    if lrs or _failed(got):
+        return got
+    emb = iota(x, got)
+    assert emb == _ref_iota(x, got)
+    _assert_members(emb)
+    for phi in (emb, *_shifts(x)):
+        assert _outcome(extend, phi, got) == _outcome(_ref_extend, phi, got), x
+    return got
+
+
+def _census(n):
+    lrs = [s for k in range(1, n + 1) for s in enumerate_lr_semigroupoids(k)]
+    lic = [t for k in range(1, n + 1) for t in enumerate_li_constellations(k)]
+    return lrs, lic
+
+
+def test_expansions_match_the_labelled_references():
+    fx = list(fixtures.all_fixtures().values())
+    lrs, lic = _census(3)
+    lrs, lic = [*fx, *lrs], [*map(build_C, fx), *lic]
+    t = build_C(fixtures.ex6_7())
+    for _ in range(3):
+        t = _assert_matches(t)
+        lic.append(t)
+        lrs.append(build_G(t))
+    for x in chain(lrs, lic):
+        assert not _failed(_assert_matches(x))
+
+
+def test_extensions_match_the_reference_on_the_universal_property_pairs(
+        census_lic_2):
+    extended = 0
+    for T, T2 in product(census_lic_2, repeat=2):
+        sz = expand_constellation(T)
+        for phi in enumerate_morphisms("ip", T, T2):
+            big = extend(phi, sz)
+            assert big == _ref_extend(phi, sz)
+            _assert_members(big)
+            extended += 1
+    assert extended == 172
+
+
+def _table_edits(table):
+    carrier, comp = table.carrier, table.comp
+    for a, b in product(carrier, repeat=2):
+        for v in (None, *carrier):
+            if comp.get((a, b)) != v:
+                edited = {k: w for k, w in comp.items() if k != (a, b)}
+                if v is not None:
+                    edited[a, b] = v
+                yield PartialTable(carrier, edited)
+
+
+def _edits(x):
+    """Every single edit of x: a table cell, a plus image, or (for a
+    constellation) one order pair, where the order stays a partial order."""
+    if isinstance(x, LeftRestrictionSemigroupoid):
+        def build(table=x.table, plus=x.plus):
+            return LeftRestrictionSemigroupoid(table, plus)
+    else:
+        def build(table=x.table, plus=x.plus, order=x.order):
+            return OrderedConstellation(table, plus, order)
+    for table in _table_edits(x.table):
+        yield build(table=table)
+    for a, e in product(x.carrier, repeat=2):
+        if x.plus[a] != e:
+            yield build(plus={**x.plus, a: e})
+    if not isinstance(x, LeftRestrictionSemigroupoid):
+        for pair in product(x.carrier, repeat=2):
+            if pair[0] != pair[1]:
+                try:
+                    yield build(order=x.order ^ {pair})
+                except ValueError:  # not a partial order
+                    pass
+
+
+def _kind(outcome):
+    if not _failed(outcome):
+        return "built"
+    kind, text = outcome
+    if kind is KeyError:
+        return "KeyError"
+    return f"{kind.__name__}: {text.split(':')[0].split(' (')[0]}"
+
+
+# Outcomes of the expansions on the single edits of the n <= 2 censuses.
+EXPANSION_EDIT_OUTCOMES = {
+    "lrs": {"built": 33, "KeyError": 42, "ValueError: comp entry": 12,
+            "ValueError: anchor must belong to the subset": 4},
+    "lic": {"built": 54, "ValueError: order is not a partial order": 47,
+            "ValueError: anchor must belong to the subset": 6},
+}
+
+
+@pytest.mark.parametrize("kind", ["lrs", "lic"])
+def test_expansions_match_the_reference_on_every_single_edit(
+        kind, census_lrs_2, census_lic_2):
+    census = census_lrs_2 if kind == "lrs" else census_lic_2
+    kinds = Counter(_kind(_assert_matches(x))
+                    for x in chain.from_iterable(map(_edits, census)))
+    assert kinds == EXPANSION_EDIT_OUTCOMES[kind]
+
+
+def _random_structure(rng, lrs):
+    carrier = ("0", "1", "2")
+    comp = {(a, b): rng.choice(carrier) for a, b in product(carrier, repeat=2)
+            if rng.random() < 0.6}
+    plus = {x: rng.choice(carrier) for x in carrier}
+    table = PartialTable(carrier, comp)
+    if lrs:
+        return LeftRestrictionSemigroupoid(table, plus)
+    # an order inside a random linear order, closed under transitivity
+    rank = rng.sample(carrier, 3)
+    order = {(x, x) for x in carrier}
+    order |= {(a, b) for a, b in product(carrier, repeat=2)
+              if rank.index(a) < rank.index(b) and rng.random() < 0.5}
+    order |= {(a, c) for a, b in order for b2, c in order if b == b2}
+    return OrderedConstellation(table, plus, order)
+
+
+def _near_census(rng, census):
+    """A census member with one to three random table cell or plus edits
+    (an edit may leave its cell or image as it was)."""
+    x = rng.choice(census)
+    carrier, comp, plus = x.carrier, x.table.comp, x.plus
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.choice(carrier), rng.choice(carrier)
+        if rng.random() < 0.2:
+            plus[a] = b
+        elif rng.random() < 0.3:
+            comp.pop((a, b), None)
+        else:
+            comp[a, b] = rng.choice(carrier)
+    table = PartialTable(carrier, comp)
+    if isinstance(x, LeftRestrictionSemigroupoid):
+        return LeftRestrictionSemigroupoid(table, plus)
+    return OrderedConstellation(table, plus, x.order)
+
+
+def test_expansions_match_the_reference_on_random_invalid_structures():
+    rng = random.Random(1919)
+    lrs3, lic3 = (list(enumerate_lr_semigroupoids(3)),
+                  list(enumerate_li_constellations(3)))
+    kinds = Counter()
+    for _ in range(300):
+        for kind, census in (("lrs", lrs3), ("lic", lic3)):
+            kinds[kind, _kind(_assert_matches(_random_structure(
+                rng, kind == "lrs")))] += 1
+            kinds[kind, _kind(_assert_matches(_near_census(rng, census)))] += 1
+    assert kinds == {
+        ("lrs", "built"): 88, ("lrs", "KeyError"): 441,
+        ("lrs", "ValueError: comp entry"): 53,
+        ("lrs", "ValueError: anchor must belong to the subset"): 18,
+        ("lic", "built"): 149,
+        ("lic", "ValueError: order is not a partial order"): 236,
+        ("lic", "ValueError: anchor must belong to the subset"): 215}
