@@ -12,9 +12,7 @@ Witnesses are named back through the carrier.  The public detectors read
 the rows of the table they are given and run the same cores.
 """
 
-from operator import eq
-
-from .coded import _components
+from .coded import _components, _identity_line
 
 __all__ = [
     "ClassificationReport",
@@ -170,14 +168,8 @@ def _identity_flags(val):
     """(left, right) for a coded table: left[x] when xx = x and xs = s
     wherever xs is defined, right[x] when xx = x and sx = s wherever sx is
     defined."""
-    every = range(len(val))
-
-    def identity(x, line):  # every entry of the line is s at s, or None
-        return line[x] == x and \
-            sum(map(eq, line, every)) + line.count(None) == len(line)
-
-    return ([identity(x, row) for x, row in enumerate(val)],
-            [identity(x, column) for x, column in enumerate(zip(*val))])
+    return ([_identity_line(x, row) for x, row in enumerate(val)],
+            [_identity_line(x, column) for x, column in enumerate(zip(*val))])
 
 
 def _identities(val):

@@ -17,10 +17,10 @@ from .constellation import OrderedConstellation
 from .core import LeftRestrictionSemigroupoid
 from .enumerate import (
     CapExceededError,
+    _check_cap,
     dedupe_up_to_iso,
     enumerate_li_constellations,
     enumerate_lr_semigroupoids,
-    size_cap_from_env,
 )
 from .functor import build_C, build_G, roundtrip_check
 from .io import (
@@ -234,9 +234,7 @@ def cmd_enumerate(args):
 
 def cmd_theorems(args):
     _check_size(args)
-    cap = size_cap_from_env()
-    if args.size > cap:
-        raise CapExceededError(f"size {args.size} exceeds cap {cap}")
+    _check_cap(args.size, None)
     results = run_all(args.size)
     for r in results:
         sys.stdout.write(r.line() + "\n")

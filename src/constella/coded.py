@@ -14,6 +14,8 @@ down-lists, which a constellation keeps with its corestriction index
 expansion are coded over their base's indices (_subset_codes).
 """
 
+from operator import eq
+
 
 def _positions(carrier):
     """{element: its index in the carrier}."""
@@ -199,6 +201,20 @@ def _maximum(le, elements):
         else:
             return m
     return None
+
+
+def _restrictions(plus, down, e, x):
+    """The y <= x with y+ = e, in index order, for a constellation coded by
+    carrier index (plus and its order's down-lists): exactly one when the
+    restriction e|x exists."""
+    return [y for y in down[x] if plus[y] == e]
+
+
+def _identity_line(x, line):
+    """Whether x acts as an identity along line, its row or its column in
+    a coded table: xx = x, and every entry is s at s or None."""
+    return line[x] == x and \
+        sum(map(eq, line, range(len(line)))) + line.count(None) == len(line)
 
 
 def _components(image, le):

@@ -2,17 +2,16 @@
 
 An OrderedConstellation carries a partial table (its composition), a total
 plus map and an explicit partial order, all stored coded by carrier index.
-Restriction is computed by scan with a uniqueness assertion.
 Corestriction is the maximum of an explicit candidate set, so a missing
 maximum is a first-class diagnostic rather than an exception during
 enumeration filtering.
 
-Each constellation builds one corestriction index on first use, coded by
-carrier index (coded._Index): for every x in T and e in T+, whether x|e
-has candidates and their maximum, with the order's rows.  The wo checks,
-restriction, pseudo-product, meets, build_G, the classifiers and the
-radiant checks read it directly, and corestrictions() gives its labelled
-view.
+Each constellation keeps one derived structure, its corestriction index,
+built on first use (coded._Index): for every x in T and e in T+, whether
+x|e has candidates and their maximum, with the order's rows.  Everything
+else is derived from it where it is read, each fact by one function: the
+restriction scan (coded._restrictions), the plus-components
+(coded._components) and the pseudo-product rows (_pseudo_rows).
 
 Each axiom family is one lazy violation generator: the reporting checkers
 collect it, and the census stops it at the first violation (core.holds).
@@ -28,6 +27,7 @@ from .coded import (
     _le_rows,
     _plus_row,
     _positions,
+    _restrictions,
     _up_lists,
 )
 from .core import _PlusStructure, _named_report, _order_rows_problem
@@ -127,7 +127,7 @@ class OrderedConstellation(_PlusStructure):
     the carrier, closes them and rejects cycles.
     """
 
-    __slots__ = ("up", "_cores", "_components")
+    __slots__ = ("up", "_cores")
 
     def __init__(self, table, plus, order):
         plus_row = _plus_row(table.carrier, plus)
@@ -141,7 +141,6 @@ class OrderedConstellation(_PlusStructure):
         super()._keep(table, plus_row)
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "_cores", None)
-        object.__setattr__(self, "_components", None)
 
     @property
     def order(self):
@@ -172,17 +171,11 @@ class OrderedConstellation(_PlusStructure):
                 for e in cores.image for x in range(len(carrier))}
 
     def components(self):
-        """The plus-components as (group, maximum) pairs, built on first use;
-        the maximum is None when the component has none."""
-        components = self._components
-        if components is None:
-            cores = self._index()
-            name = self.carrier.__getitem__
-            components = tuple(
-                (tuple(map(name, group)), None if top is None else name(top))
-                for group, top in _components(cores.image, cores.le))
-            object.__setattr__(self, "_components", components)
-        return components
+        """The plus-components as (group, maximum) pairs, the maximum None
+        when there is none: coded._components named, on each call."""
+        cores, name = self._index(), self.carrier.__getitem__
+        return tuple((tuple(map(name, group)), None if m is None else name(m))
+                     for group, m in _components(cores.image, cores.le))
 
     def validate(self):
         return check_constellation(self).merged(check_locally_inductive(self))
@@ -303,10 +296,8 @@ def corestriction_candidates(t, x, e):
 
 
 def corestriction(t, x, e):
-    """Corestriction x|e: the maximum element below x composable with e.
-
-    Read from the corestriction index, which covers x in T and e in T+.
-    """
+    """Corestriction x|e: the maximum element below x composable with e,
+    read from the corestriction index, which covers x in T and e in T+."""
     cores = t._index()
     i, k = cores.position.get(x), cores.position.get(e)
     if i is None or k not in cores.image:
@@ -315,28 +306,43 @@ def corestriction(t, x, e):
 
 
 def restriction(t, e, x):
-    """Restriction e|x: the unique y <= x with y+ = e.
-
-    Found by scan so the closed form (e|x = ex) stays a testable theorem.
-    """
+    """Restriction e|x: the unique y <= x with y+ = e, found by scan so
+    the closed form (e|x = ex) stays a testable theorem."""
     cores = t._index()
     position, plus = cores.position, t.plus_row
     k = position.get(e)
     if k not in cores.image or not cores.le[k][plus[position[x]]]:
         raise NotApplicableError(f"restriction of {x!r} to {e!r} not applicable")
-    found = [y for y in cores.down[position[x]] if plus[y] == k]
+    found = _restrictions(plus, cores.down, k, position[x])
     if len(found) != 1:
         raise NonUniqueError(f"{len(found)} candidates for {e!r}|{x!r}")
     return t.carrier[found[0]]
 
 
 def pseudo_product(t, a, b):
-    """(a|b+) b, or None when the corestriction or the pair is missing."""
+    """(a|b+) b, or None when the corestriction or the pair is missing: an
+    entry of the pseudo-product rows, built on each call."""
     cores = t._index()
-    j = cores.position[b]
-    m = cores.top[t.plus_row[j]][cores.position[a]]
-    v = None if m is None else t.table.rows[m][j]
+    j, i = cores.position[b], cores.position[a]
+    v = _pseudo_rows(t.table.rows, t.plus_row, cores.top)[0][i][j]
     return None if v is None else t.carrier[v]
+
+
+def _pseudo_rows(val, plus, top):
+    """(rows, missing) on a coded constellation and the top rows of its
+    index: rows[x][y] = (x|y+) y, None where x|y+ has no maximum m or my
+    is undefined; missing is the first such (m, y) with m, else None."""
+    rows, missing = [], None
+    for x in range(len(val)):
+        row = []
+        for y, e in enumerate(plus):
+            m = top[e][x]
+            v = None if m is None else val[m][y]
+            if v is None and m is not None and missing is None:
+                missing = m, y
+            row.append(v)
+        rows.append(tuple(row))
+    return tuple(rows), missing
 
 
 def plus_components(t):
@@ -350,7 +356,8 @@ def meet(t, e, f):
     i, k = cores.position.get(e), cores.position.get(f)
     if i not in cores.image or k not in cores.image:
         raise NotApplicableError("meet is defined on T+ only")
-    if not any(e in group and f in group for group, _ in t.components()):
+    if not any(i in group and k in group
+               for group, _ in _components(cores.image, cores.le)):
         return None
     m = cores.top[k][i]
     return None if m is None else t.carrier[m]
@@ -379,7 +386,7 @@ def check_locally_inductive(t):
     val, plus = t.table.rows, t.plus_row
     return _named_report(t.carrier, chain(
         _order_violations(val, plus, cores.le, t.up),
-        _index_violations(val, plus, cores.le, cores.down, cores)))
+        _index_violations(val, plus, cores)))
 
 
 def _order_violations(val, plus, le, up):
@@ -420,13 +427,12 @@ def _order_violations(val, plus, le, up):
                 yield "wo3", (e, x)
 
 
-def _index_violations(val, plus, le, down, cores):
+def _index_violations(val, plus, cores):
     """wo4-wo9 on a coded constellation, read from its corestriction index
-    cores (coded._Index).  wo5 and wo7 run over the defined pairs in index
-    order."""
+    cores (coded._Index) and the order rows it holds.  wo5 and wo7 run over
+    the defined pairs in index order."""
     every = range(len(val))
-    image = cores.image
-    top, some = cores.top, cores.some
+    image, le, top, some = cores.image, cores.le, cores.top, cores.some
 
     for x in every:
         for e in image:
@@ -445,9 +451,8 @@ def _index_violations(val, plus, le, down, cores):
     for e in image:
         for f in image:
             if le[f][e] and some[e] != some[f]:
-                some_e, some_f = some[e], some[f]
                 for x in every:
-                    if some_e[x] != some_f[x]:
+                    if some[e][x] != some[f][x]:
                         yield "wo6", (x, e, f)
 
     for e in image:
@@ -460,15 +465,10 @@ def _index_violations(val, plus, le, down, cores):
             if m_xy is None or m_x is None or plus[m_xy] != plus[m_x]:
                 yield "wo7", (x, y, e)
 
-    # wo8 compares the restriction of f to e, the y <= f with y+ = e, with
-    # e|f
+    # wo8: the restriction of f to e, the one y <= f with y+ = e, is e|f
     for e in image:
         for f in image:
-            if not le[e][f]:
-                continue
-            found = [y for y in down[f] if plus[y] == e]
-            m = top[f][e]
-            if len(found) != 1 or m is None or found[0] != m:
+            if le[e][f] and _restrictions(plus, cores.down, e, f) != [top[f][e]]:
                 yield "wo8", (e, f)
 
     # wo9: the corestriction restricted to T+ is exactly the partial meet

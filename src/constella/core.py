@@ -17,7 +17,7 @@ witnesses back through the carrier (_named_report).
 from itertools import compress, product, repeat
 from operator import eq
 
-from .coded import _comp_rows, _defined_rows, _plus_row
+from .coded import _comp_rows, _defined_rows, _identity_line, _plus_row
 
 __all__ = [
     "PartialTable",
@@ -120,8 +120,11 @@ class PartialTable:
                 for b, v in enumerate(row) if v is not None}
 
     def product(self, a, b):
-        """Value of a*b, or None when the pair is undefined."""
-        return self.comp.get((a, b))
+        """Value of a*b, read from the row of a, or None when the pair is
+        undefined or a or b is not in the carrier."""
+        c = self.carrier
+        v = self.rows[c.index(a)][c.index(b)] if a in c and b in c else None
+        return None if v is None else c[v]
 
     @property
     def defined(self):
@@ -129,7 +132,9 @@ class PartialTable:
         return frozenset(self.comp)
 
     def is_defined(self, a, b):
-        return (a, b) in self.comp
+        c = self.carrier
+        return a in c and b in c and \
+            self.rows[c.index(a)][c.index(b)] is not None
 
     def __eq__(self, other):
         return (
@@ -447,22 +452,18 @@ def idempotents(t):
 
 def is_left_identity(t, x):
     """xx = x, and xs = s wherever xs is defined."""
-    return _acts_as_identity(t.carrier, t.rows, x)
+    if x not in t.carrier:
+        return False
+    i = t.carrier.index(x)
+    return _identity_line(i, t.rows[i])
 
 
 def is_right_identity(t, x):
     """xx = x, and sx = s wherever sx is defined."""
-    return _acts_as_identity(t.carrier, tuple(zip(*t.rows)), x)
-
-
-def _acts_as_identity(carrier, rows, x):
-    """x is in the carrier, xx = x, and each entry of the row of x in rows
-    is s at s or None."""
-    if x not in carrier:
+    if x not in t.carrier:
         return False
-    i = carrier.index(x)
-    return rows[i][i] == i and \
-        all(v is None or v == s for s, v in enumerate(rows[i]))
+    i = t.carrier.index(x)
+    return _identity_line(i, [row[i] for row in t.rows])
 
 
 def identity_kind(t, x):

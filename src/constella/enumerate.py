@@ -73,19 +73,14 @@ def cap_from_env():
             f"CONSTELLA_CAP must be an integer, got {raw!r}") from None
 
 
-def size_cap_from_env(default=DEFAULT_SIZE_CAP):
-    """CONSTELLA_CAP values up to 8 act as the census size cap."""
-    value = cap_from_env()
-    return value if value is not None and value <= 8 else default
-
-
 def carrier_labels(n):
     return tuple(str(i) for i in range(n))
 
 
 def _check_cap(n, cap):
-    if cap is None:
-        cap = size_cap_from_env()
+    if cap is None:  # CONSTELLA_CAP values up to 8 cap the census size
+        value = cap_from_env()
+        cap = value if value is not None and value <= 8 else DEFAULT_SIZE_CAP
     if n < 1:
         raise ValueError("carrier size must be at least 1")
     if n > cap:
@@ -173,7 +168,7 @@ def enumerate_li_constellations(n, cap=None):
                 if not holds(_order_violations(val, plus, le, up)):
                     continue
                 cores = _corestriction_index(position, val, plus, le, down)
-                if not holds(_index_violations(val, plus, le, down, cores)):
+                if not holds(_index_violations(val, plus, cores)):
                     continue
                 if table is None:
                     table = _from_rows(PartialTable, carrier, val)

@@ -7,14 +7,14 @@ verbatim so the round trips are literal equalities, not isomorphisms.
 
 Each functor is one core on the stored rows of a structure (coded.py):
 _c_rows gives the composable-pair rows and the natural-order rows, _g_rows
-the pseudo-product rows, read from the corestriction index.  build_C and
+the pseudo-product rows of constellation._pseudo_rows.  build_C and
 build_G store their core's output as it is, with the plus tuple shared;
 roundtrip_check runs the two cores back to back and compares rows, with no
 structure in between.
 """
 
 from .coded import _corestriction_index, _down_lists, _positions
-from .constellation import OrderedConstellation
+from .constellation import OrderedConstellation, _pseudo_rows
 from .core import (
     LeftRestrictionSemigroupoid,
     PartialTable,
@@ -60,22 +60,16 @@ def _c_rows(carrier, val, plus):
 def _g_rows(carrier, val, plus, cores):
     """build_G's core on a constellation coded by carrier index, with its
     corestriction index cores (coded._Index): the pseudo-product rows,
-    x ⊗ y = (x|y+) y, None where x|y+ has no maximum, as a tuple of tuples.
+    x ⊗ y = (x|y+) y, None where x|y+ has no maximum, as
+    constellation._pseudo_rows gives them.
 
-    Raises KeyError for a pair with (x|y+) y undefined, named through the
-    carrier as a lookup of the labelled table would.
+    Raises KeyError for the first pair with (x|y+) y undefined, named
+    through the carrier as a lookup of the labelled table would.
     """
-    top = cores.top
-    pseudo = []
-    for x in range(len(val)):
-        out = []
-        for y, e in enumerate(plus):
-            m = top[e][x]
-            if m is not None and val[m][y] is None:
-                raise KeyError((carrier[m], carrier[y]))
-            out.append(None if m is None else val[m][y])
-        pseudo.append(tuple(out))
-    return tuple(pseudo)
+    pseudo, missing = _pseudo_rows(val, plus, cores.top)
+    if missing is not None:
+        raise KeyError(tuple(map(carrier.__getitem__, missing)))
+    return pseudo
 
 
 def build_C(s):

@@ -20,8 +20,8 @@ cuts the branch at the first failure.  Accepted maps come out in the
 lexicographic order of the |T|^|S| total maps, each named once.
 """
 
-from .coded import _positions
-from .constellation import OrderedConstellation
+from .coded import _positions, _restrictions
+from .constellation import OrderedConstellation, _pseudo_rows
 from .core import LeftRestrictionSemigroupoid, _from_rows, _named_report
 from .enumerate import CapExceededError, cap_from_env
 from .functor import build_C, build_G
@@ -194,15 +194,9 @@ def _ir_instances(T, L):
 
 
 def _ip_instances(T, L):
-    val, plus, cores = L.table.rows, L.plus_row, L._index()
+    plus, cores = L.plus_row, L._index()
     le, top, image = cores.le, cores.top, frozenset(cores.image)
-    # the pseudo-product rows: (x|y+) y, None where x|y+ has no maximum
-    # or (x|y+) y is undefined
-    pseudo = []
-    for x in range(len(val)):
-        tops = [top[e][x] for e in plus]
-        pseudo.append([None if m is None else val[m][y]
-                       for y, m in enumerate(tops)])
+    pseudo, _ = _pseudo_rows(L.table.rows, plus, top)
 
     def ip2(f, a, a_plus):
         return le[plus[f[a]]][f[a_plus]]
@@ -221,9 +215,9 @@ def _ip_instances(T, L):
     source, t_plus = T._index(), T.plus_row
     for e in source.image:
         for x, x_plus in enumerate(t_plus):
-            # the restriction e|x, the one y <= x with y+ = e, if e <= x+
+            # the restriction e|x, if e <= x+
             if source.le[e][x_plus]:
-                found = [y for y in source.down[x] if t_plus[y] == e]
+                found = _restrictions(t_plus, source.down, e, x)
                 if len(found) == 1:
                     yield "ip5", (e, x), (e, x, found[0]), ip5
     # derived requirement: plus-elements land on plus-elements
@@ -287,12 +281,6 @@ def is_inductive_preradiant(m):
     return check_morphism("ip", m)
 
 
-def _map_cap_from_env(default=DEFAULT_MAP_CAP):
-    """CONSTELLA_CAP values above 8 act as the candidate-count cap."""
-    value = cap_from_env()
-    return value if value is not None and value > 8 else default
-
-
 def _search(k, n, instances):
     """Depth-first over the images of source indices 0..k-1 among target
     indices 0..n-1, in index order; yields each map f (f[x] the image of
@@ -323,8 +311,9 @@ def enumerate_morphisms(kind, source, target, cap=None):
     candidate space |target| ** |source| must stay within cap, although the
     search visits only the branches no axiom instance has cut.
     """
-    if cap is None:
-        cap = _map_cap_from_env()
+    if cap is None:  # CONSTELLA_CAP values above 8 cap the candidates
+        value = cap_from_env()
+        cap = value if value is not None and value > 8 else DEFAULT_MAP_CAP
     kind = _KIND_ALIASES.get(kind, kind)
     n, k = len(target.carrier), len(source.carrier)
     if n**k > cap:

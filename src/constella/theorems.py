@@ -255,19 +255,24 @@ def check_universal_property(size):
         sz = expand_constellation(T)
         emb = iota(T, sz)
         radiants = enumerate_morphisms("ir", sz, T2)
+        restrictions = [compose(psi, emb) for psi in radiants]
+        restricting_to = {}  # the radiants restricting to each function
+        for psi, rho in zip(radiants, restrictions):
+            restricting_to.setdefault(rho.as_function(), []).append(psi)
         for phi in enumerate_morphisms("ip", T, T2):
             Phi = extend(phi, sz)
             if not is_inductive_radiant(Phi).valid:
                 return TheoremResult("universal-property", False,
                                      "extension is not a radiant")
-            if compose(Phi, emb).mapping != phi.mapping:
+            # Phi, a radiant, restricts to phi iff it is found, and it is
+            # unique, extensionally, when it is the only one found ...
+            found = restricting_to.get(phi.as_function(), [])
+            if Phi not in found:
                 return TheoremResult("universal-property", False,
                                      "extension does not restrict to phi")
-            # uniqueness, extensionally ...
-            for psi in radiants:
-                if compose(psi, emb).mapping == phi.mapping and psi != Phi:
-                    return TheoremResult("universal-property", False,
-                                         "extension is not unique")
+            if len(found) > 1:
+                return TheoremResult("universal-property", False,
+                                     "extension is not unique")
             # ... and through generation witnesses
             for el in sz.carrier:
                 term = generation_decomposition(sz, el)
@@ -280,8 +285,8 @@ def check_universal_property(size):
                     return TheoremResult("universal-property", False,
                                          "generation witness disagrees")
             extended += 1
-        for psi in radiants:
-            if not is_inductive_preradiant(compose(psi, emb)).valid:
+        for rho in restrictions:
+            if not is_inductive_preradiant(rho).valid:
                 return TheoremResult("universal-property", False,
                                      "radiant restriction is not a preradiant")
             restricted += 1

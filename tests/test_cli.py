@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -301,6 +302,28 @@ def test_theorems_small(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 8
     assert all(line.startswith("PASS") for line in lines)
+
+
+# The eight lines of `constella theorems --size 3`, byte for byte (sha256
+# f36264ef...0d70, the digest perfbench's battery workload checks).
+THEOREMS_SIZE_3 = """\
+PASS fixture-validation  (all structures valid)
+PASS classification-golden  (verdicts match)
+PASS roundtrip  (300 round trips)
+PASS morphism-bijection  (149 pairs)
+PASS szendrei-coherence  (all fixtures)
+PASS universal-property  (172 preradiants extended, 172 radiants restricted)
+PASS section7-equivalences  (150 structures)
+PASS census-bijectivity  (1:1 2:9 3:130)
+"""
+
+
+def test_theorems_size_3_output_is_pinned(capsys):
+    code, out, err = run(capsys, "theorems", "--size", "3")
+    assert (code, err) == (0, "")
+    assert out == THEOREMS_SIZE_3
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f36264ef2fc2031dc3b2978ede78f81060131e357f7e6cd911ab4e0b95320d70")
 
 
 def test_outputs_are_deterministic(capsys, fixture_dir):

@@ -19,6 +19,7 @@ from constella.constellation import (
     corestriction_candidates,
     meet,
     plus_components,
+    pseudo_product,
     restriction,
 )
 from constella.core import PartialTable, Violation
@@ -356,3 +357,66 @@ def test_corestriction_index_matches_the_scan():
         ]
         assert t.components() == tuple(zip(groups, tops))
     assert kinds["no_maximum"] > 1 and kinds["empty"] and kinds["value"]
+
+
+def _zigzag_classes(t):
+    """The classes of T+ under the zig-zag closure of t.order, from the
+    labelled order: in carrier order of their first elements, each in
+    carrier order."""
+    image, order = t.plus_image(), t.order
+    classes = []
+    for e in image:
+        if any(e in group for group in classes):
+            continue
+        members, size = {e}, 0
+        while size != len(members):
+            size = len(members)
+            members |= {f for f in image for g in members
+                        if (f, g) in order or (g, f) in order}
+        classes.append(tuple(f for f in image if f in members))
+    return tuple(classes)
+
+
+def _greatest_common_lower_bound(t, e, f):
+    """The greatest g in T+ with g <= e and g <= f, or None."""
+    order = t.order
+    lower = [g for g in t.plus_image() if (g, e) in order and (g, f) in order]
+    return next((m for m in lower if all((g, m) in order for g in lower)),
+                None)
+
+
+def test_components_and_meets_match_the_labelled_references():
+    seen = Counter()
+    for t in _index_cases():
+        classes = _zigzag_classes(t)
+        assert plus_components(t) == classes
+        component = {e: i for i, group in enumerate(classes) for e in group}
+        valid = t.validate().valid
+        for e, f in product(t.plus_image(), repeat=2):
+            m = meet(t, e, f)
+            if component[e] != component[f]:
+                assert m is None
+                seen["across"] += 1
+            elif valid:
+                # wo9 makes e|f the meet within a component
+                assert m == _greatest_common_lower_bound(t, e, f)
+                seen["valid", m is None] += 1
+            else:
+                c = corestriction(t, e, f)
+                assert m == (c.value if c.exists else None)
+                seen["invalid"] += 1
+    assert seen["across"] and seen["valid", False] and seen["invalid"]
+
+
+def test_pseudo_product_matches_the_labelled_reference():
+    # (x|y+) y from the public corestriction and the labelled table, also
+    # on the order edits that fail the axioms
+    seen = Counter()
+    for t in _index_cases():
+        comp, plus = t.table.comp, t.plus
+        for x, y in product(t.carrier, repeat=2):
+            c = corestriction(t, x, plus[y])
+            want = comp.get((c.value, y)) if c.exists else None
+            assert pseudo_product(t, x, y) == want
+            seen[c.exists, want is None] += 1
+    assert seen[True, True] and seen[True, False] and seen[False, True]

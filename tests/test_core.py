@@ -38,6 +38,14 @@ def test_undefined_pair_is_distinct_outcome():
     assert not t.is_defined("a", "b")
 
 
+def test_labels_outside_the_carrier_give_no_product():
+    t = PartialTable(["a", "b"], {("a", "a"): "a", ("a", "b"): "b"})
+    assert t.product("a", "b") == "b" and t.is_defined("a", "b")
+    for a, b in (("z", "a"), ("a", "z"), ("z", "z"), (0, 1)):
+        assert t.product(a, b) is None
+        assert not t.is_defined(a, b)
+
+
 @pytest.mark.parametrize("name", sorted(fixtures.all_fixtures()))
 def test_fixture_passes_semigroupoid_check(name):
     s = fixtures.all_fixtures()[name]
