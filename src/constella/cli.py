@@ -101,13 +101,13 @@ def cmd_expand(args):
     sys.stdout.write(serialize_structure(sz))
     if args.iota:
         labels = element_labels(sz.carrier)
-        emb = iota(s, sz)
+        mapping = iota(s, sz).mapping
         sys.stdout.write("\n")
         sys.stdout.write(
             serialize_morphism(
                 args.file,
                 "-",
-                {x: labels[emb.mapping[x]] for x in s.carrier},
+                {x: labels[y] for x, y in mapping.items()},
                 s.carrier,
                 comment="embedding into the expansion printed above",
             )
@@ -137,15 +137,13 @@ def cmd_extend(args):
     if _reported_invalid(is_inductive_preradiant(phi)):
         return 1
     sz = expand_constellation(src)
-    big = extend(phi, sz)
-    labels = element_labels(sz.carrier)
     sys.stdout.write(
         serialize_morphism(
             src_path,
             tgt_path,
-            {el: big.mapping[el] for el in sz.carrier},
+            extend(phi, sz).mapping,
             sz.carrier,
-            labels=labels,
+            labels=element_labels(sz.carrier),
             comment="radiant on the expansion of the source file",
         )
     )

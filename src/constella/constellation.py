@@ -66,9 +66,12 @@ class CorestrictionResult:
     __slots__ = ("kind", "value", "candidates")
 
     def __init__(self, kind, value=None, candidates=None):
-        self.kind = kind
-        self.value = value
-        self.candidates = candidates
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "candidates", candidates)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CorestrictionResult is immutable")
 
     @classmethod
     def of(cls, value):
@@ -109,7 +112,7 @@ class CorestrictionResult:
         return f"CorestrictionResult.no_maximum({set(self.candidates)!r})"
 
 
-# Results are never mutated, so every empty x|e is this one object.
+# Results are immutable, so every empty x|e is this one object.
 _EMPTY = CorestrictionResult("empty")
 
 

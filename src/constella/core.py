@@ -201,8 +201,8 @@ def _from_rows(cls, *fields):
     tuple of tuples of their indices or None (a table), a table and a
     tuple of carrier indices (plus), and for a constellation the up-lists
     (tuples) of a partial order; for a morphism.MorphismMap, its source,
-    target and a dict total on the source carrier with values in the
-    target carrier.
+    target and a tuple of target indices, one per source element in
+    carrier order.
     """
     x = cls.__new__(cls)
     x._keep(*fields)

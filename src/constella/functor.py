@@ -6,14 +6,13 @@ build_G goes back via the pseudo-product.  Carrier labels are preserved
 verbatim so the round trips are literal equalities, not isomorphisms.
 
 Each functor is one core on the stored rows of a structure (coded.py):
-_c_rows gives the composable-pair rows and the natural-order rows, _g_rows
-the pseudo-product rows of constellation._pseudo_rows.  build_C and
+_c_rows gives the composable-pair rows and the up-lists of the natural
+order, constellation._pseudo_rows the pseudo-product rows.  build_C and
 build_G store their core's output as it is, with the plus tuple shared;
-roundtrip_check runs the two cores back to back and compares rows, with no
-structure in between.
+roundtrip_check applies the two functors back to back, build_G(build_C(x))
+or build_C(build_G(x)), and compares the stored rows with those of x.
 """
 
-from .coded import _corestriction_index, _down_lists, _positions
 from .constellation import OrderedConstellation, _pseudo_rows
 from .core import (
     LeftRestrictionSemigroupoid,
@@ -37,9 +36,9 @@ class RoundTripReport:
 
 
 def _c_rows(carrier, val, plus):
-    """build_C's core on a semigroupoid coded by carrier index: (comp, le,
-    up), comp[s][t] = st where s t+ = s (else None), as a tuple of tuples,
-    and the natural order as core._natural_rows gives it.
+    """build_C's core on a semigroupoid coded by carrier index: (comp, up),
+    comp[s][t] = st where s t+ = s (else None), as a tuple of tuples, and
+    the up-lists of the natural order as core._natural_rows gives them.
 
     Raises KeyError for a pair s, t with s t+ = s and st undefined, named
     through the carrier as a lookup of the labelled table would, and
@@ -54,27 +53,12 @@ def _c_rows(carrier, val, plus):
                     raise KeyError((carrier[s], carrier[t]))
                 out[t] = row[t]
         comp.append(tuple(out))
-    return (tuple(comp), *_natural_rows(carrier, val, plus))
-
-
-def _g_rows(carrier, val, plus, cores):
-    """build_G's core on a constellation coded by carrier index, with its
-    corestriction index cores (coded._Index): the pseudo-product rows,
-    x ⊗ y = (x|y+) y, None where x|y+ has no maximum, as
-    constellation._pseudo_rows gives them.
-
-    Raises KeyError for the first pair with (x|y+) y undefined, named
-    through the carrier as a lookup of the labelled table would.
-    """
-    pseudo, missing = _pseudo_rows(val, plus, cores.top)
-    if missing is not None:
-        raise KeyError(tuple(map(carrier.__getitem__, missing)))
-    return pseudo
+    return tuple(comp), _natural_rows(carrier, val, plus)[1]
 
 
 def build_C(s):
-    """Constellation on the same carrier: s • t = st when s t+ = s."""
-    comp, _, up = _c_rows(s.carrier, s.table.rows, s.plus_row)
+    """Constellation on the same carrier: s . t = st when s t+ = s."""
+    comp, up = _c_rows(s.carrier, s.table.rows, s.plus_row)
     # _c_rows has raised unless its order is a partial order
     return _from_rows(OrderedConstellation,
                       _from_rows(PartialTable, s.carrier, comp), s.plus_row, up)
@@ -83,9 +67,14 @@ def build_C(s):
 def build_G(t):
     """Semigroupoid on the same carrier via the pseudo-product.
 
-    x ⊗ y = (x|y+) y, defined whenever the corestriction x|y+ exists.
+    x * y = (x|y+) y, defined whenever the corestriction x|y+ exists, as
+    constellation._pseudo_rows gives it from the corestriction index.
+    Raises KeyError for the first pair with x|y+ but no (x|y+) y, named
+    through the carrier as a lookup of the labelled table would.
     """
-    pseudo = _g_rows(t.carrier, t.table.rows, t.plus_row, t._index())
+    pseudo, missing = _pseudo_rows(t.table.rows, t.plus_row, t._index().top)
+    if missing is not None:
+        raise KeyError(tuple(map(t.carrier.__getitem__, missing)))
     return _from_rows(LeftRestrictionSemigroupoid,
                       _from_rows(PartialTable, t.carrier, pseudo), t.plus_row)
 
@@ -98,23 +87,18 @@ def roundtrip_check(x):
     are, so only the other fields are compared, as rows coded by carrier
     index.
     """
-    if not isinstance(x, (LeftRestrictionSemigroupoid, OrderedConstellation)):
-        raise TypeError(f"unsupported structure {type(x).__name__}")
-    val, plus = x.table.rows, x.plus_row
     if isinstance(x, LeftRestrictionSemigroupoid):
-        comp, le, up = _c_rows(x.carrier, val, plus)
-        cores = _corestriction_index(_positions(x.carrier), comp, plus, le,
-                                     _down_lists(up))
-        back, order = _g_rows(x.carrier, comp, plus, cores), None
+        back = build_G(build_C(x))
+    elif isinstance(x, OrderedConstellation):
+        back = build_C(build_G(x))
     else:
-        pseudo = _g_rows(x.carrier, val, plus, x._index())
-        back, _, back_up = _c_rows(x.carrier, pseudo, plus)
-        order = back_up != x.up
+        raise TypeError(f"unsupported structure {type(x).__name__}")
+    rows, val = back.table.rows, x.table.rows
     defined = any((u is None) != (v is None)
-                  for back_row, row in zip(back, val)
+                  for back_row, row in zip(rows, val)
                   for u, v in zip(back_row, row))
-    fields = [("defined", defined), ("comp", back != val)]
-    if order is not None:
-        fields.append(("order", order))
+    fields = [("defined", defined), ("comp", rows != val)]
+    if isinstance(x, OrderedConstellation):
+        fields.append(("order", back.up != x.up))
     mismatches = tuple(name for name, differs in fields if differs)
     return RoundTripReport(not mismatches, mismatches)

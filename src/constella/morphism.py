@@ -3,21 +3,21 @@
 Each axiom is written once, as ordered instances ``(axiom, witness,
 support, test)`` on carrier indices (coded.py): ``support`` lists the
 source indices the instance reads, ``witness`` those it names, and
-``test(f, *support)`` decides it once they have images, where f is a list
-of target indices, f[x] the image of x.  The instances are built from the
-stored rows of the source, in index order, and their tests read the
-stored rows of the target: its table rows, plus_row and the order rows of
-its corestriction index.  The reporting checkers code the map once, run
-every instance and name each failure through the source carrier
-(core._named_report); no checker assumes the map already belongs to a
-smaller class, so single-image mutations produce meaningful named
-violations.
+``test(f, *support)`` decides it once they have images, where f is a map
+as MorphismMap stores it, f[x] the target index of the image of x.  The
+instances are built from the stored rows of the source, in index order,
+and their tests read the stored rows of the target: its table rows,
+plus_row and the order rows of its corestriction index.  The reporting
+checkers run every instance on the stored images and name each failure
+through the source carrier (core._named_report); no checker assumes the
+map already belongs to a smaller class, so single-image mutations produce
+meaningful named violations.
 
 enumerate_morphisms is a backtracking search over the same instances: it
 assigns images in source index order, trying target indices in order,
 tests each instance once the last element of its support has an image and
 cuts the branch at the first failure.  Accepted maps come out in the
-lexicographic order of the |T|^|S| total maps, each named once.
+lexicographic order of the |T|^|S| total maps, each stored as its images.
 """
 
 from .coded import _positions, _restrictions
@@ -50,28 +50,38 @@ class MorphismMap:
 
     The source and target structures are part of the identity: the same
     function may be a morphism for one plus-structure and not another.
-    The constructor checks the mapping total on the source carrier with
-    image inside the target's; core._from_rows stores a map the caller
-    built that way (the search, composition, iota and extend).
+    ``images``, the one stored form, holds the target index of the image
+    of each source element, in carrier order; ``mapping`` is its labelled
+    view.  The constructor checks the mapping total on the source carrier
+    with image inside the target's and codes it once; core._from_rows
+    stores images built by the search, composition, iota and extend.
     """
 
-    __slots__ = ("source", "target", "mapping")
+    __slots__ = ("source", "target", "images")
 
     def __init__(self, source, target, mapping):
         mapping = dict(mapping)
         if set(mapping) != set(source.carrier):
             raise ValueError("mapping must be total on the source carrier")
-        if not set(mapping.values()) <= set(target.carrier):
+        position = _positions(target.carrier)
+        if not all(y in position for y in mapping.values()):
             raise ValueError("mapping image leaves the target carrier")
-        self._keep(source, target, mapping)
+        self._keep(source, target,
+                   tuple([position[mapping[x]] for x in source.carrier]))
 
-    def _keep(self, source, target, mapping):
+    def _keep(self, source, target, images):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "images", images)
 
     def __setattr__(self, name, value):
         raise AttributeError("MorphismMap is immutable")
+
+    @property
+    def mapping(self):
+        """{x: f(x)} in source carrier order: a new dict on each access."""
+        values = self.target.carrier
+        return {x: values[y] for x, y in zip(self.source.carrier, self.images)}
 
     def __call__(self, x):
         return self.mapping[x]
@@ -84,18 +94,18 @@ class MorphismMap:
             isinstance(other, MorphismMap)
             and self.source == other.source
             and self.target == other.target
-            and self.mapping == other.mapping
+            and self.images == other.images
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, frozenset(self.mapping.items())))
+        return hash((self.source, self.target, self.images))
 
     def __repr__(self):
         return f"MorphismMap({self.mapping!r})"
 
 
 def identity_morphism(s):
-    return MorphismMap(s, s, {x: x for x in s.carrier})
+    return _from_rows(MorphismMap, s, s, tuple(range(len(s.carrier))))
 
 
 def _require(source, target, cls):
@@ -248,12 +258,10 @@ def _instances(kind, source, target):
 
 def check_morphism(kind, m):
     """Every failing instance of the axioms of kind (rm, pm, ir or ip)."""
-    source, target = m.source, m.target
-    instances = _instances(kind, source, target)
-    position = _positions(target.carrier)
-    f = [position[m.mapping[x]] for x in source.carrier]
-    return _named_report(source.carrier, (
-        (axiom, witness) for axiom, witness, support, test in instances
+    f = m.images
+    return _named_report(m.source.carrier, (
+        (axiom, witness)
+        for axiom, witness, support, test in _instances(kind, m.source, m.target)
         if not test(f, *support)))
 
 
@@ -321,25 +329,24 @@ def enumerate_morphisms(kind, source, target, cap=None):
     if kind != "any" and kind not in MORPHISM_KINDS:
         raise ValueError(f"unknown morphism kind {kind!r}")
     instances = () if kind == "any" else _instances(kind, source, target)
-    carrier, values = source.carrier, target.carrier
-    return tuple(
-        _from_rows(MorphismMap, source, target,
-                   dict(zip(carrier, [values[y] for y in f])))
-        for f in _search(k, n, instances))
+    return tuple(_from_rows(MorphismMap, source, target, tuple(f))
+                 for f in _search(k, n, instances))
 
 
 def transport(m, direction):
     """Rebase a morphism along the object constructions.
 
     direction "C": semigroupoid morphism -> constellation morphism;
-    direction "G": the other way.  The underlying function is unchanged.
+    direction "G": the other way.  The underlying images are unchanged.
     """
     if direction == "C":
         _require(m.source, m.target, LeftRestrictionSemigroupoid)
-        return MorphismMap(build_C(m.source), build_C(m.target), m.mapping)
+        return _from_rows(MorphismMap, build_C(m.source), build_C(m.target),
+                          m.images)
     if direction == "G":
         _require(m.source, m.target, OrderedConstellation)
-        return MorphismMap(build_G(m.source), build_G(m.target), m.mapping)
+        return _from_rows(MorphismMap, build_G(m.source), build_G(m.target),
+                          m.images)
     raise ValueError(f"direction must be 'C' or 'G', got {direction!r}")
 
 
@@ -347,7 +354,6 @@ def compose(m2, m1):
     """Function composition m2 after m1; requires matching middle structure."""
     if m1.target != m2.source:
         raise ValueError("target of the first morphism must equal source of the second")
-    # total on the source of m1, with images in the target of m2
-    f, g = m1.mapping, m2.mapping
+    g = m2.images
     return _from_rows(MorphismMap, m1.source, m2.target,
-                      {x: g[f[x]] for x in m1.source.carrier})
+                      tuple([g[y] for y in m1.images]))

@@ -16,8 +16,9 @@ and each uA = {ux : x in A} is a bitmask, computed once per u and A:
 
 The rows are stored as they are (core._from_rows), after the checks the
 public constructors made on the labelled tables: the same exceptions,
-texts and precedence.  iota finds its images through the codes; extend
-reads the target's rows, plus_row and corestriction index.
+texts and precedence.  iota finds its images through the codes, and extend
+reads the target's rows, plus_row and corestriction index; both store
+the target indices they find as the map's images.
 """
 
 from itertools import combinations
@@ -226,14 +227,14 @@ def iota(t, expansion=None):
     if expansion is None:
         expansion = expand_constellation(t)
     position = _positions(t.carrier)
-    code = {(_mask(p.subset, position), position[p.anchor]): p
-            for p in expansion.carrier if isinstance(p, SzendreiElement)
-            and p.subset <= position.keys()}
-    images = [code.get(((1 << x) | (1 << e), x))
-              for x, e in enumerate(t.plus_row)]
+    code = {(_mask(p.subset, position), position[p.anchor]): i
+            for i, p in enumerate(expansion.carrier)
+            if isinstance(p, SzendreiElement) and p.subset <= position.keys()}
+    images = tuple([code.get(((1 << x) | (1 << e), x))
+                    for x, e in enumerate(t.plus_row)])
     if None in images:
         raise ValueError("mapping image leaves the target carrier")
-    return _from_rows(MorphismMap, t, expansion, dict(zip(t.carrier, images)))
+    return _from_rows(MorphismMap, t, expansion, images)
 
 
 class Term:
@@ -346,15 +347,14 @@ def extend(phi, expansion=None):
     canonical subset order, each step x|e read from the target's
     corestriction index.
     """
-    t, target, f = phi.source, phi.target, phi.mapping
+    t, target = phi.source, phi.target
     if expansion is None:
         expansion = expand_constellation(t)
     carrier, val, plus = target.carrier, target.table.rows, target.plus_row
     top = target._index().top
-    position = _positions(carrier)
-    image = {a: position[f[a]] for a in t.carrier}
+    image = dict(zip(t.carrier, phi.images))
     image_plus = {a: plus[y] for a, y in image.items()}
-    mapping = {}
+    images = []
     for el in expansion.carrier:
         members = el.sort_key()[1]
         plusses = [image_plus[a] for a in members]
@@ -367,7 +367,7 @@ def extend(phi, expansion=None):
         value = val[m][image[el.anchor]]
         if value is None:
             raise MeetUndefinedError(
-                f"{carrier[m]!r} does not compose with {f[el.anchor]!r}"
-            )
-        mapping[el] = carrier[value]
-    return _from_rows(MorphismMap, expansion, target, mapping)
+                f"{carrier[m]!r} does not compose with "
+                f"{carrier[image[el.anchor]]!r}")
+        images.append(value)
+    return _from_rows(MorphismMap, expansion, target, tuple(images))

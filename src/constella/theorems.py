@@ -7,7 +7,7 @@ constants; see FROZEN_CENSUS_COUNTS.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 from . import fixtures
 from .classify import (
@@ -23,13 +23,7 @@ from .enumerate import (
     enumerate_lr_semigroupoids,
 )
 from .functor import build_C, build_G, roundtrip_check
-from .morphism import (
-    compose,
-    enumerate_morphisms,
-    identity_morphism,
-    is_inductive_preradiant,
-    is_inductive_radiant,
-)
+from .morphism import enumerate_morphisms, identity_morphism
 from .szendrei import (
     MeetUndefinedError,
     SzendreiElement,
@@ -151,25 +145,26 @@ def check_roundtrip(size):
 
 
 def _function_set(morphisms):
-    return {m.as_function() for m in morphisms}
+    return {m.images for m in morphisms}
 
 
 def check_morphism_bijection(size):
     """Restriction morphisms = inductive radiants and premorphisms =
     preradiants, as function sets, over census pairs and fixture pairs;
-    identities and composition correspond."""
+    identities and composition correspond.  C(S) keeps the carrier of S,
+    so maps on either side are compared by their images."""
     small = []
     for n in _sizes(min(size, 2)):
         small.extend(_census_lrs(n))
-    pairs = list(product(small, repeat=2))
     fx = list(fixtures.lr_fixtures().values())
+    constellation = {S: build_C(S) for S in chain(small, fx)}
+    pairs = list(product(small, repeat=2))
     pairs.extend(product(fx, repeat=2))
     checked = 0
     rm_maps = {}
     for S1, S2 in pairs:
-        C1, C2 = build_C(S1), build_C(S2)
-        rm_maps[S1, S2] = enumerate_morphisms("rm", S1, S2)
-        rm = _function_set(rm_maps[S1, S2])
+        C1, C2 = constellation[S1], constellation[S2]
+        rm = rm_maps[S1, S2] = _function_set(enumerate_morphisms("rm", S1, S2))
         ir = _function_set(enumerate_morphisms("ir", C1, C2))
         if rm != ir:
             return TheoremResult("morphism-bijection", False,
@@ -182,15 +177,15 @@ def check_morphism_bijection(size):
         if not rm <= pm:
             return TheoremResult("morphism-bijection", False,
                                  "a restriction morphism is not a premorphism")
-        if S1 == S2 and identity_morphism(S1).as_function() not in rm:
+        if S1 == S2 and identity_morphism(S1).images not in rm:
             return TheoremResult("morphism-bijection", False, "identity missing")
         checked += 1
     # composition corresponds on census triples (all in rm_maps already)
     for S1, S2, S3 in product(small, repeat=3):
-        rm13 = _function_set(rm_maps[S1, S3])
+        rm13 = rm_maps[S1, S3]
         for f in rm_maps[S1, S2]:
             for g in rm_maps[S2, S3]:
-                if compose(g, f).as_function() not in rm13:
+                if tuple([g[y] for y in f]) not in rm13:
                     return TheoremResult("morphism-bijection", False,
                                          "composition left the class")
     return TheoremResult("morphism-bijection", True, f"{checked} pairs")
@@ -223,7 +218,7 @@ def check_szendrei_coherence():
                     return TheoremResult("szendrei-coherence", False,
                                          f"{name}: restriction closed form")
         # corestriction closed form:
-        # (A,a)|(E,e) = ((a|e)+ A ∪ (a|e) E, a|e) when a|e exists
+        # (A,a)|(E,e) = ((a|e)+ A union (a|e) E, a|e) when a|e exists
         for q in sz.carrier:
             for p in _sz_plus_elements(sz):
                 c_base = corestriction(t, q.anchor, p.anchor)
@@ -246,50 +241,57 @@ def check_szendrei_coherence():
 
 def check_universal_property(size):
     """Every enumerated preradiant extends to a unique radiant on the
-    expansion; every radiant from the expansion restricts to a preradiant."""
+    expansion; every radiant from the expansion restricts to a preradiant.
+    The search tests the same axiom instances as the checkers, so a map is
+    a radiant (a preradiant) exactly when it is among the enumerated ones;
+    maps are compared and composed on their images."""
     small = []
     for n in _sizes(min(size, 2)):
         small.extend(_census_lic(n))
     extended = restricted = 0
-    for T, T2 in product(small, repeat=2):
+    for T in small:
         sz = expand_constellation(T)
-        emb = iota(T, sz)
-        radiants = enumerate_morphisms("ir", sz, T2)
-        restrictions = [compose(psi, emb) for psi in radiants]
-        restricting_to = {}  # the radiants restricting to each function
-        for psi, rho in zip(radiants, restrictions):
-            restricting_to.setdefault(rho.as_function(), []).append(psi)
-        for phi in enumerate_morphisms("ip", T, T2):
-            Phi = extend(phi, sz)
-            if not is_inductive_radiant(Phi).valid:
-                return TheoremResult("universal-property", False,
-                                     "extension is not a radiant")
-            # Phi, a radiant, restricts to phi iff it is found, and it is
-            # unique, extensionally, when it is the only one found ...
-            found = restricting_to.get(phi.as_function(), [])
-            if Phi not in found:
-                return TheoremResult("universal-property", False,
-                                     "extension does not restrict to phi")
-            if len(found) > 1:
-                return TheoremResult("universal-property", False,
-                                     "extension is not unique")
-            # ... and through generation witnesses
-            for el in sz.carrier:
-                term = generation_decomposition(sz, el)
-                try:
-                    agrees = evaluate_through(
-                        term, phi.mapping, phi.target) == Phi.mapping[el]
-                except MeetUndefinedError:
-                    agrees = False
-                if not agrees:
+        emb = iota(T, sz).images
+        terms = [generation_decomposition(sz, el) for el in sz.carrier]
+        for T2 in small:
+            restricting_to = {}  # the radiants restricting to each function
+            for psi in _function_set(enumerate_morphisms("ir", sz, T2)):
+                restricting_to.setdefault(
+                    tuple([psi[y] for y in emb]), []).append(psi)
+            preradiants = enumerate_morphisms("ip", T, T2)
+            for phi in preradiants:
+                Phi = extend(phi, sz).images
+                rho = tuple([Phi[y] for y in emb])
+                found = restricting_to.get(rho, ())
+                if Phi not in found:
                     return TheoremResult("universal-property", False,
-                                         "generation witness disagrees")
-            extended += 1
-        for rho in restrictions:
-            if not is_inductive_preradiant(rho).valid:
-                return TheoremResult("universal-property", False,
-                                     "radiant restriction is not a preradiant")
-            restricted += 1
+                                         "extension is not a radiant")
+                # Phi, a radiant, restricts to phi iff rho is phi, and it
+                # is unique, extensionally, when it is the only one found ...
+                if rho != phi.images:
+                    return TheoremResult("universal-property", False,
+                                         "extension does not restrict to phi")
+                if len(found) > 1:
+                    return TheoremResult("universal-property", False,
+                                         "extension is not unique")
+                # ... and through generation witnesses
+                leaves, values = phi.mapping, T2.carrier
+                for term, y in zip(terms, Phi):
+                    try:
+                        agrees = evaluate_through(term, leaves, T2) == values[y]
+                    except MeetUndefinedError:
+                        agrees = False
+                    if not agrees:
+                        return TheoremResult("universal-property", False,
+                                             "generation witness disagrees")
+                extended += 1
+            images = _function_set(preradiants)
+            for rho, found in restricting_to.items():
+                if rho not in images:
+                    return TheoremResult(
+                        "universal-property", False,
+                        "radiant restriction is not a preradiant")
+                restricted += len(found)
     return TheoremResult(
         "universal-property", True,
         f"{extended} preradiants extended, {restricted} radiants restricted",

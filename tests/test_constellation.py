@@ -420,3 +420,18 @@ def test_pseudo_product_matches_the_labelled_reference():
             assert pseudo_product(t, x, y) == want
             seen[c.exists, want is None] += 1
     assert seen[True, True] and seen[True, False] and seen[False, True]
+
+
+def test_corestriction_results_are_immutable():
+    t = build_C(fixtures.discrete2())
+    empty, value = corestriction(t, "1a", "1b"), corestriction(t, "1a", "1a")
+    assert empty == CorestrictionResult.empty() and value.exists
+    for result in (empty, value):
+        for field, new in (("kind", "value"), ("value", "1b"),
+                           ("candidates", frozenset({"1b"}))):
+            with pytest.raises(AttributeError):
+                setattr(result, field, new)
+    # every empty x|e is one shared object, so it must stay empty
+    assert CorestrictionResult.empty().kind == "empty"
+    assert not corestriction(t, "1b", "1a").has_candidates
+    assert corestriction(t, "1a", "1a") == CorestrictionResult.of("1a")

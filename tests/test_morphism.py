@@ -14,13 +14,13 @@ from constella.constellation import (
     pseudo_product,
     restriction,
 )
-from constella.core import PartialTable, Violation
+from constella.core import LeftRestrictionSemigroupoid, PartialTable, Violation
 from constella.enumerate import (
     enumerate_li_constellations,
     enumerate_lr_semigroupoids,
 )
 from constella.functor import build_C
-from constella.szendrei import expand_constellation
+from constella.szendrei import expand_constellation, extend, iota
 from constella.morphism import (
     CapExceededError,
     MorphismMap,
@@ -414,3 +414,39 @@ def test_premorphisms_preserve_plus_image_and_order(census_lrs_2):
                 assert m.mapping[e] in image2
             for (a, b) in natural_order(s1):
                 assert (m.mapping[a], m.mapping[b]) in order2
+
+
+def _maps_by_origin():
+    """One map on ex6_6 or its constellation from each way a map is made."""
+    s = fixtures.ex6_6()
+    t = build_C(s)
+    sz = expand_constellation(t)
+    found = enumerate_morphisms("pm", s, s)
+    return {
+        "constructor": MorphismMap(s, s, {x: s.carrier[0] for x in s.carrier}),
+        "search": found[-1],
+        "compose": compose(found[-1], found[1]),
+        "iota": iota(t, sz),
+        "extend": extend(enumerate_morphisms("ip", t, t)[-1], sz),
+    }
+
+
+@pytest.mark.parametrize(
+    "origin", ["constructor", "search", "compose", "iota", "extend"])
+def test_the_labelled_map_views_are_copies(origin):
+    m = _maps_by_origin()[origin]
+    kinds = (("rm", "pm") if isinstance(m.source, LeftRestrictionSemigroupoid)
+             else ("ir", "ip"))
+
+    def state():
+        return (hash(m), m.images, dict(m.mapping), m.as_function(),
+                [check_morphism(kind, m).violations for kind in kinds])
+
+    before = state()
+    view, other = m.mapping, m.target.carrier[-1]
+    for x in view:
+        view[x] = other
+    view.clear()
+    assert state() == before
+    twin = MorphismMap(m.source, m.target, m.mapping)
+    assert twin == m and hash(twin) == hash(m)

@@ -1,4 +1,5 @@
-"""The maintenance scripts under scripts/, run as a user runs them."""
+"""The maintenance scripts under scripts/, run as a user runs them, and
+the encoding of the package sources."""
 
 import os
 import re
@@ -50,3 +51,10 @@ def test_bench_records_the_tree_it_measures(tmp_path, monkeypatch):
     git("commit", "-q", "-am", "two")
     assert measured_tree(tmp_path) == {"commit": git("rev-parse", "HEAD"),
                                        "dirty": False}
+
+
+def test_the_package_sources_are_ascii():
+    sources = sorted((ROOT / "src" / "constella").glob("*.py"))
+    assert sources
+    for path in sources:
+        path.read_bytes().decode("ascii")
