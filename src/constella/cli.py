@@ -4,7 +4,8 @@ enumerate censuses and run the theorem battery.
 Exit codes: 0 success / true, 1 invalid / false, 2 usage or parse error.
 Every verb is deterministic; identical inputs give byte-identical output.
 The environment variable CONSTELLA_CAP overrides the guard rails: values
-up to 8 set the census size cap, larger values the candidate-count cap.
+up to 8 set the census size cap, larger values the cap on candidate maps
+and on the table cells of an expansion.
 """
 
 import json

@@ -28,6 +28,7 @@ from .coded import (
     _plus_row,
     _positions,
     _restrictions,
+    _suspect_rows,
     _up_lists,
 )
 from .core import _PlusStructure, _named_report, _order_rows_problem
@@ -220,11 +221,17 @@ def check_constellation(t):
     c2: if xy and yz are defined then (xy)z is, and x(yz) = (xy)z.
     c3: for e in T+: ex defined with ex = x iff e = x+.
     c4: for e in T+: xe defined implies xe = x.
+
+    The c1/c2 scan visits only the rows (x, y) a byte-row test cannot pass
+    (coded._suspect_rows), and codes its defined pairs only when a row is
+    left.
     """
     val = t.table.rows
+    rows = _suspect_rows(val, True)
+    found = () if rows == [] else \
+        _c12_violations(_defined_rows(val), val, rows)
     return _named_report(t.carrier, chain(
-        _c12_violations(_defined_rows(val), val),
-        _c34_violations(val, t.plus_row)))
+        found, _c34_violations(val, t.plus_row)))
 
 
 def _c12_violations(D, val, rows=None):

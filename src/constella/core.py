@@ -17,7 +17,13 @@ witnesses back through the carrier (_named_report).
 from itertools import compress, product, repeat
 from operator import eq
 
-from .coded import _comp_rows, _defined_rows, _identity_line, _plus_row
+from .coded import (
+    _comp_rows,
+    _defined_rows,
+    _identity_line,
+    _plus_row,
+    _suspect_rows,
+)
 
 __all__ = [
     "PartialTable",
@@ -257,10 +263,15 @@ def check_semigroupoid(t):
       s3: xr and s(xr) are defined.
 
     A triggered triple must have all four pairs defined with
-    (sx)r = s(xr).  Every failing (clause, triple) is reported.
+    (sx)r = s(xr).  Every failing (clause, triple) is reported.  The scan
+    visits only the rows (s, x) a byte-row test cannot pass
+    (coded._suspect_rows), and codes its defined pairs only when a row is
+    left.
     """
     val = t.rows
-    return _named_report(t.carrier, _s_violations(_defined_rows(val), val))
+    rows = _suspect_rows(val, False)
+    found = () if rows == [] else _s_violations(_defined_rows(val), val, rows)
+    return _named_report(t.carrier, found)
 
 
 def _named_report(carrier, found):

@@ -312,6 +312,14 @@ def _search(k, n, instances):
     return assign(0)
 
 
+def _map_cap():
+    """The cap on candidate maps and on expansion table cells:
+    CONSTELLA_CAP when it is above 8 (values up to 8 cap the census size),
+    else DEFAULT_MAP_CAP."""
+    value = cap_from_env()
+    return value if value is not None and value > 8 else DEFAULT_MAP_CAP
+
+
 def enumerate_morphisms(kind, source, target, cap=None):
     """All total maps source -> target passing the named checker.
 
@@ -319,9 +327,8 @@ def enumerate_morphisms(kind, source, target, cap=None):
     candidate space |target| ** |source| must stay within cap, although the
     search visits only the branches no axiom instance has cut.
     """
-    if cap is None:  # CONSTELLA_CAP values above 8 cap the candidates
-        value = cap_from_env()
-        cap = value if value is not None and value > 8 else DEFAULT_MAP_CAP
+    if cap is None:
+        cap = _map_cap()
     kind = _KIND_ALIASES.get(kind, kind)
     n, k = len(target.carrier), len(source.carrier)
     if n**k > cap:

@@ -21,6 +21,7 @@ reads the target's rows, plus_row and corestriction index; both store
 the target indices they find as the map's images.
 """
 
+from collections import Counter
 from itertools import combinations
 
 from .coded import _indices, _le_rows, _mask, _positions, _subset_codes
@@ -31,7 +32,7 @@ from .core import (
     _from_rows,
     _order_rows_problem,
 )
-from .morphism import MorphismMap
+from .morphism import CapExceededError, MorphismMap, _map_cap
 
 __all__ = [
     "SzendreiElement",
@@ -120,14 +121,36 @@ def _sz_carrier(carrier, plus):
     return tuple(sorted(elements))
 
 
+def _expansion_size(plus):
+    """The number of (A, a) _sz_carrier lists over a plus map coded by
+    index, from the closed form.  The class of e, the x with x+ = e, holds
+    m elements other than e; each j of them with e make a subset A of
+    j + 1 elements, each an anchor a, so the class gives
+    sum_j C(m, j) (j + 1) = (m + 2) 2^(m-1) elements: (k + 1) 2^(k-2) for
+    a class of k elements that holds e."""
+    size = 0
+    for e, k in Counter(plus).items():
+        m = k - (plus[e] == e)
+        size += (m + 2) << m >> 1
+    return size
+
+
 def _coded_carrier(carrier, val, plus):
     """The expansion's carrier over a base coded by index (val, plus), with
     its coding (coded._subset_codes): (sz, anchors, masks, images, code).
+    An expansion whose table would hold more cells than the map cap
+    (morphism._map_cap) is refused with CapExceededError before any
+    element is built.
 
     sz repeats an element only when two plus-elements are each other's
     plus, e+ = f and f+ = e, and then the plus of ({e}, e) is no element,
     which _sz_plus_row rejects before anything reads the repeat.
     """
+    size, cap = _expansion_size(plus), _map_cap()
+    if size * size > cap:
+        raise CapExceededError(
+            f"an expansion of {size} elements has {size}^2 table cells, "
+            f"which exceed cap {cap}")
     sz = _sz_carrier(carrier, dict(zip(carrier, [carrier[e] for e in plus])))
     return (sz, *_subset_codes(sz, carrier, val))
 

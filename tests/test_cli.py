@@ -9,6 +9,7 @@ from pathlib import Path
 from constella import fixtures
 from constella.cli import main
 from constella.functor import build_C
+from constella.groups import cyclic_group
 from constella.io import parse_structure, serialize_structure
 
 
@@ -281,6 +282,19 @@ def test_morphism_cap_exits_2(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "exceed cap 9" in err
+
+
+def test_expand_over_the_cap_exits_2(capsys, monkeypatch, tmp_path):
+    z5 = cyclic_group(5)  # |Sz| = 48
+    monkeypatch.setenv("CONSTELLA_CAP", "2000")
+    for name, s in (("z5.sgpd", z5), ("cz5.sgpd", build_C(z5))):
+        path = tmp_path / name
+        path.write_text(serialize_structure(s))
+        code, out, err = run(capsys, "expand", str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: an expansion of 48 elements has 48^2 table cells, "
+            "which exceed cap 2000"]
 
 
 def test_enumerate_size_zero_exits_2(capsys):

@@ -25,6 +25,12 @@
   classifiers they replaced are kept here as the reference: outputs,
   mismatch names, flags, witnesses and exception types must agree, on
   valid structures and on every single edit of the n <= 3 censuses.
+- check_semigroupoid and check_constellation run the s1-s3 and c1/c2
+  generators only on the rows the byte-row test (coded._suspect_rows)
+  cannot pass.  The full scan is the reference: the rows the test yields
+  must be exactly the rows on which the generator yields something, in
+  index order, and the generator on them must give the full scan's
+  violations in order.
 """
 
 import hashlib
@@ -57,16 +63,22 @@ from constella.classify import (
 from constella.constellation import (
     CorestrictionResult,
     OrderedConstellation,
+    _c12_violations,
     check_constellation,
     check_locally_inductive,
 )
-from constella.coded import _defined_rows
+from constella.coded import (
+    _byte_row_mismatches,
+    _defined_rows,
+    _suspect_rows,
+)
 from constella.core import (
     InvalidOrderError,
     LeftRestrictionSemigroupoid,
     PartialTable,
     Violation,
     _named_report,
+    _s_violations,
     check_left_restriction,
     check_semigroupoid,
     holds,
@@ -76,6 +88,7 @@ from constella.core import (
     natural_order,
 )
 from constella.functor import build_C, build_G, roundtrip_check
+from constella.groups import cyclic_group
 from constella.io import render_report, serialize_structure
 from constella.szendrei import (
     SzendreiElement,
@@ -1215,3 +1228,155 @@ def test_sweep_matches_the_references_on_every_single_edit(kind):
                 _classification_reference(x), x
             outcomes[got if isinstance(got, tuple) else got.__name__] += 1
     assert outcomes == ROUNDTRIP_EDIT_OUTCOMES[kind]
+
+
+# --- the byte-row test: the rows the s1-s3 and c1/c2 scans visit ---
+
+GENERATORS = ((_s_violations, False), (_c12_violations, True))
+
+
+def _assert_rows_exact(val, violations, masked, lefts=None):
+    """The rows _byte_row_mismatches yields on the coded table val are the
+    rows on which the generator yields something, in index order, and the
+    generator on them gives the full scan's violations in order.  lefts
+    limits both to those left factors (for carriers too large to scan in
+    full).  Returns the number of violations."""
+    D, every = _defined_rows(val), range(len(val))
+    lefts = every if lefts is None else sorted(lefts)
+    full = list(violations(D, val, product(lefts, every, (every,))))
+    rows = [row for row in _byte_row_mismatches(val, masked)
+            if row[0] in lefts]
+    assert all(rs == every for _, _, rs in rows)
+    assert [row[:2] for row in rows] == \
+        list(dict.fromkeys(w[:2] for _, w in full))
+    assert list(violations(D, val, rows)) == full
+    return len(full)
+
+
+def _edit(val, a, b, v):
+    """The coded table val with the cell (a, b) set to v."""
+    rows = list(val)
+    rows[a] = val[a][:b] + (v,) + val[a][b + 1:]
+    return tuple(rows)
+
+
+def _cell_edits(val):
+    """val with one cell changed, to None or to an index, in every way."""
+    every = range(len(val))
+    for a, b in product(every, every):
+        for v in (None, *every):
+            if v != val[a][b]:
+                yield _edit(val, a, b, v)
+
+
+def _seeded_edits(val, seed, count):
+    """count copies of val, each with one or two cells changed at random."""
+    rng, n = random.Random(seed), len(val)
+    for _ in range(count):
+        rows = [list(row) for row in val]
+        for _ in range(rng.randint(1, 2)):
+            rows[rng.randrange(n)][rng.randrange(n)] = \
+                rng.choice([None, *range(n)])
+        yield tuple(map(tuple, rows))
+
+
+def test_suspect_rows_are_exact_on_every_single_edit_of_the_census():
+    for violations, masked in GENERATORS:
+        failing = 0
+        for x in chain(*_census(3)):
+            val = x.table.rows
+            found = _assert_rows_exact(val, violations, masked)
+            # a census member fails only the other side's axioms
+            assert found == 0 or isinstance(x, OrderedConstellation) != masked
+            for edit in _cell_edits(val):
+                failing += _assert_rows_exact(edit, violations, masked) > 0
+        assert failing > 2000
+
+
+def _fixture_images():
+    for s in fixtures.all_fixtures().values():
+        t = build_C(s)
+        sz_s, sz_t = expand_semigroupoid(s), expand_constellation(t)
+        szsz_t = expand_constellation(sz_t)
+        yield from (s, t, sz_s, expand_semigroupoid(sz_s), sz_t, szsz_t,
+                    build_G(sz_t), build_G(szsz_t))
+
+
+def test_suspect_rows_are_exact_on_the_fixture_images():
+    sizes = set()
+    for x in _fixture_images():
+        for violations, masked in GENERATORS:
+            found = _assert_rows_exact(x.table.rows, violations, masked)
+            assert found == 0 or isinstance(x, OrderedConstellation) != masked
+        sizes.add(len(x.carrier))
+    assert max(sizes) == 20
+
+
+def test_suspect_rows_are_exact_on_seeded_edits_of_an_expanded_group():
+    s = expand_semigroupoid(cyclic_group(5))
+    failing = 0
+    for x in (s, build_C(s)):
+        for edit in _seeded_edits(x.table.rows, 5, 12):
+            for violations, masked in GENERATORS:
+                failing += _assert_rows_exact(edit, violations, masked) > 0
+    assert len(s.carrier) == 48 and failing == 48
+
+
+def test_suspect_rows_are_exact_at_the_crossover():
+    # The byte-row test starts at 8 elements, so the census (n <= 4) and
+    # the small mutants scan every row as before.
+    s = expand_semigroupoid(cyclic_group(3))
+    t = build_C(s)
+    assert len(s.carrier) == 8
+    seven = cyclic_group(7).table.rows
+    assert _suspect_rows(seven, False) is None
+    assert _suspect_rows(seven, True) is None
+    failing = 0
+    for x in (s, t):
+        val = x.table.rows
+        assert list(_suspect_rows(val, False)) == \
+            list(_byte_row_mismatches(val, False))
+        for edit in chain([val], _cell_edits(val)):
+            for violations, masked in GENERATORS:
+                failing += _assert_rows_exact(edit, violations, masked) > 0
+    assert failing > 1000
+
+
+def _union_of_groups(sizes):
+    """The coded table of the disjoint union of the cyclic groups Z_m for m
+    in sizes, each on consecutive indices: a category with one object per
+    group, products across groups undefined."""
+    rows = []
+    start = 0
+    for m in sizes:
+        for i in range(m):
+            row = [None] * sum(sizes)
+            for j in range(m):
+                row[start + j] = start + (i + j) % m
+            rows.append(tuple(row))
+        start += m
+    return tuple(rows)
+
+
+def test_suspect_rows_are_exact_at_the_byte_bound():
+    # 254 elements need the bytes 0-253, N = 254 and U = 255; at 255 the
+    # checkers scan every row.
+    assert _suspect_rows(_union_of_groups([200, 55]), False) is None
+    val = _union_of_groups([120, 90, 40, 4])
+    n = len(val)
+    assert n == 254
+    for masked in (False, True):
+        assert list(_suspect_rows(val, masked)) == []
+    edits = [(0, 1, None), (5, 130, 253), (253, 253, 0), (250, 251, 7),
+             (211, 212, 252)]
+    failing = 0
+    for a, b, v in edits:
+        edited = _edit(val, a, b, v)
+        # Each left factor is tested on its own, so a sample of them is
+        # checked in full: the edited row, the indices the edit names, the
+        # last index, and one in another group.
+        lefts = {a, b, v or 0, 253, 60}
+        for violations, masked in GENERATORS:
+            failing += _assert_rows_exact(edited, violations, masked,
+                                          lefts) > 0
+    assert failing == 10

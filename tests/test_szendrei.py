@@ -16,7 +16,9 @@ from constella.enumerate import (
     enumerate_lr_semigroupoids,
 )
 from constella.functor import build_C, build_G
+from constella.groups import cyclic_group, symmetric_group_3
 from constella.morphism import (
+    CapExceededError,
     MorphismMap,
     compose,
     enumerate_morphisms,
@@ -31,6 +33,7 @@ from constella.szendrei import (
     MeetUndefinedError,
     Plus,
     SzendreiElement,
+    _expansion_size,
     _sz_carrier,
     evaluate_term,
     expand_constellation,
@@ -43,6 +46,52 @@ from constella.szendrei import (
 
 def C(name):
     return build_C(fixtures.all_fixtures()[name])
+
+
+GROUPS = {**{f"Z_{n}": cyclic_group(n) for n in range(2, 7)},
+          "S_3": symmetric_group_3()}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_group_expansions_meet_their_closed_forms(name):
+    # For a group G of order n, Sz(G) = {(A, g) : 1, g in A} has
+    # (n + 1) 2^(n-2) elements and 2^(n-1) plus-elements, the (A, 1)
+    # (Szendrei 1989).
+    g = GROUPS[name]
+    n = len(g.carrier)
+    sz, sz_c = expand_semigroupoid(g), expand_constellation(build_C(g))
+    assert len(sz.carrier) == (n + 1) * 2 ** (n - 2)
+    image = sz.plus_image()
+    assert len(image) == 2 ** (n - 1)
+    assert {p.anchor for p in image} == {g.carrier[g.plus_row[0]]}
+    assert g.validate().valid
+    assert sz.validate().valid and sz_c.validate().valid
+    assert build_C(sz) == sz_c
+
+
+def test_expansion_size_is_the_closed_form():
+    census = [s for n in (1, 2, 3) for s in enumerate_lr_semigroupoids(n)]
+    for s in [*fixtures.all_fixtures().values(), *GROUPS.values(), *census]:
+        assert _expansion_size(s.plus_row) == len(expand_semigroupoid(s).carrier)
+    # read from the closed form only: Sz(Z_30) is never built
+    assert _expansion_size(cyclic_group(30).plus_row) == 31 * 2**28
+
+
+def test_oversized_expansions_are_refused_before_they_are_built(monkeypatch):
+    s = cyclic_group(5)  # |Sz| = 48: 2,304 table cells
+    t = build_C(s)
+    monkeypatch.setenv("CONSTELLA_CAP", "2303")
+    with monkeypatch.context() as m:
+        m.setattr("constella.szendrei._sz_carrier", None)  # never reached
+        for expand, x in ((expand_semigroupoid, s), (expand_constellation, t)):
+            with pytest.raises(CapExceededError, match="48 elements .* cap 2303"):
+                expand(x)
+    monkeypatch.setenv("CONSTELLA_CAP", "2304")
+    assert len(expand_semigroupoid(s).carrier) == 48
+    assert len(expand_constellation(t).carrier) == 48
+    # values up to 8 set the census size cap, not this one
+    monkeypatch.setenv("CONSTELLA_CAP", "8")
+    assert len(expand_semigroupoid(s).carrier) == 48
 
 
 def test_szendrei_element_invariants():
