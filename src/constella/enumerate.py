@@ -14,6 +14,16 @@ on carrier indices, on the coded tables, plus maps and orders those
 generators read, and each structure it yields stores them as they are
 (_from_rows), with one table shared by the structures on it.
 
+A census holds each distinct stored value once: each census call keeps
+one dict of the values its structures store, each the first instance
+met.  These are the rows of the tables (at most (n + 1)^n, a value or
+None in each column), the plus maps (at most n^n) and, on the
+constellation side, the up-lists (at most 2^(n-1) for each x, one per set
+of elements above x) and the up tuples (at most one per partial order).
+The dict lives as long as the call and is read only for a table or a
+structure that is yielded, so a rejected candidate costs no lookup.  It
+changes no value and no order of the stream.
+
 On the constellation side the order is built from the (table, plus) pair
 rather than searched among all partial orders (_candidate_orders).  The
 axioms force e+ = e on T+, fix the order on T+ as e <= f iff ef is
@@ -117,13 +127,16 @@ def enumerate_lr_semigroupoids(n, cap=None):
     its rows and plus maps as they are."""
     _check_cap(n, cap)
     carrier = carrier_labels(n)
+    pool = {}  # each distinct row and plus map once
     for val in _table_codes(carrier, _s_violations, True):
         table = None
         for plus in _plus_maps(val):
             if holds(_lr_violations(val, plus)):
                 if table is None:
-                    table = _from_rows(PartialTable, carrier, val)
-                yield _from_rows(LeftRestrictionSemigroupoid, table, plus)
+                    table = _from_rows(PartialTable, carrier,
+                                       tuple(map(pool.setdefault, val, val)))
+                yield _from_rows(LeftRestrictionSemigroupoid, table,
+                                 pool.setdefault(plus, plus))
 
 
 def all_partial_orders(carrier):
@@ -159,6 +172,7 @@ def enumerate_li_constellations(n, cap=None):
     _check_cap(n, cap)
     carrier = carrier_labels(n)
     position = _positions(carrier)
+    pool = {}  # each distinct row, plus map, up-list and up once
     for val in _table_codes(carrier, _c12_violations, True):
         table = None
         for plus in _plus_maps(val):
@@ -171,8 +185,12 @@ def enumerate_li_constellations(n, cap=None):
                 if not holds(_index_violations(val, plus, cores)):
                     continue
                 if table is None:
-                    table = _from_rows(PartialTable, carrier, val)
-                yield _from_rows(OrderedConstellation, table, plus, up)
+                    table = _from_rows(PartialTable, carrier,
+                                       tuple(map(pool.setdefault, val, val)))
+                up = tuple(map(pool.setdefault, up, up))
+                yield _from_rows(OrderedConstellation, table,
+                                 pool.setdefault(plus, plus),
+                                 pool.setdefault(up, up))
 
 
 def _candidate_orders(val, plus):

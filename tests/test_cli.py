@@ -252,9 +252,10 @@ def test_enumerate_respects_cap(capsys, monkeypatch):
 
 
 def test_enumerate_count_only_streams_the_census(capsys):
-    # Counting holds one structure at a time.  The traced peak is about
-    # 1.3 MB; a list of the 3,021 semigroupoids of size 4 raises it to
-    # about 4.5 MB (Python 3.11).
+    # Counting holds one structure at a time, besides the rows and plus
+    # maps the census shares.  The traced peak is about 1.0 MB, 1.5 MB on
+    # the first call in a process; holding the 3,021 semigroupoids of size
+    # 4 in a list raises each by about 0.4 MB (Python 3.11).
     tracemalloc.start()
     try:
         code, out, _ = run(capsys, "enumerate", "--kind", "lrs", "--size", "4",
