@@ -16,16 +16,13 @@ from .coded import _components, _identity_line
 
 __all__ = [
     "ClassificationReport",
-    "CategoryCheck",
     "InverseCheck",
     "classify_constellation",
     "classify_semigroupoid",
-    "detect_category",
     "detect_semigroup",
     "detect_inverse_semigroupoid",
     "derive_plus_from_inverses",
     "has_right_inverses",
-    "pseudo_inverses",
 ]
 
 
@@ -59,18 +56,6 @@ class ClassificationReport:
     def __repr__(self):
         on = [name for name in self.FIELDS if getattr(self, name)]
         return f"ClassificationReport({', '.join(on) or 'nothing'})"
-
-
-class CategoryCheck:
-    __slots__ = ("ok", "domain", "codomain")
-
-    def __init__(self, ok, domain=None, codomain=None):
-        self.ok = ok
-        self.domain = domain
-        self.codomain = codomain
-
-    def __repr__(self):
-        return f"CategoryCheck({self.ok})"
 
 
 class InverseCheck:
@@ -172,12 +157,6 @@ def _identity_flags(val):
             [_identity_line(x, column) for x, column in enumerate(zip(*val))])
 
 
-def _identities(val):
-    """The two-sided identities of a coded table, in index order."""
-    left, right = _identity_flags(val)
-    return [x for x in range(len(val)) if left[x] and right[x]]
-
-
 def _category(val, identities):
     """(domain, codomain) as index lists when each x composes on each side
     with exactly one of the identities and xy is defined exactly when the
@@ -197,33 +176,9 @@ def _category(val, identities):
     return domain, codomain
 
 
-def detect_category(table):
-    """Category structure = total domain/codomain identity assignments.
-
-    Returns the unique identity acting on each side of every element when
-    both exist everywhere.
-    """
-    val = table.rows
-    found = _category(val, _identities(val))
-    if found is None:
-        return CategoryCheck(False)
-    carrier = table.carrier
-    domain, codomain = (dict(zip(carrier, map(carrier.__getitem__, side)))
-                        for side in found)
-    return CategoryCheck(True, domain=domain, codomain=codomain)
-
-
 def detect_semigroup(table):
     """A semigroup is a table with every pair defined."""
     return all(None not in row for row in table.rows)
-
-
-def pseudo_inverses(table, x):
-    """All w with xwx = x and wxw = w (all intermediate pairs defined)."""
-    carrier = table.carrier
-    if x not in carrier:
-        return []
-    return [carrier[w] for w in _pseudo_inverses(table.rows, carrier.index(x))]
 
 
 def _pseudo_inverses(val, x):

@@ -10,10 +10,11 @@ witnesses back through the carrier (core._named_report); the labelled
 comp, plus and order are views built from them on each access.  From
 the up-lists come the boolean rows (le[x][y] when x <= y) and the
 down-lists, which a constellation keeps with its corestriction index
-(_Index), built on first use.  The elements (A, a) of a Szendrei
-expansion are coded over their base's indices (_subset_codes).  The s1-s3
-and c1/c2 checkers scan only the rows that a byte-row test of the table
-cannot pass (_suspect_rows).
+(_Index), built on first use.  A subset A of a carrier is coded as the
+bitmask of its indices, as a Szendrei expansion codes its elements
+(A, a), and so is each image uA (_subset_images).  The s1-s3 and c1/c2
+checkers scan only the rows that a byte-row test of the table cannot pass
+(_suspect_rows).
 """
 
 from operator import eq
@@ -197,19 +198,12 @@ def _down_lists(up):
     return down
 
 
-def _subset_codes(elements, carrier, val):
-    """Elements (A, a) with A a subset of carrier, as in a Szendrei
-    expansion, coded over the carrier's indices, with the carrier's table
-    rows val: (anchors, masks, images, code).  For elements[i] = (A, a),
-    anchors[i] is the index of a and masks[i] the bitmask of the indices
-    in A; images[u][i] is uA = {ux : x in A} as a bitmask, computed once
-    per u and distinct A, or, where some ux is undefined, ~x < 0 for the
-    first such x in index order (so image | mask == mask fails); code maps
-    (mask, anchor index) to i."""
-    position = _positions(carrier)
-    masks = [_mask(p.subset, position) for p in elements]
-    anchors = [position[p.anchor] for p in elements]
-    code = {key: i for i, key in enumerate(zip(masks, anchors))}
+def _subset_images(val, masks):
+    """For the table rows val of a carrier and the bitmasks of subsets A of
+    its indices: images[u][i] is uA = {ux : x in A} for A = masks[i], as a
+    bitmask, computed once per u and distinct A, or, where some ux is
+    undefined, ~x < 0 for the first such x in index order (so
+    image | mask == mask fails)."""
     subsets = {mask: _indices(mask) for mask in masks}
     images = []
     for row in val:
@@ -224,12 +218,7 @@ def _subset_codes(elements, carrier, val):
                 image |= 1 << v
             by_mask[mask] = image
         images.append([by_mask[mask] for mask in masks])
-    return anchors, masks, images, code
-
-
-def _mask(subset, position):
-    """The bitmask of the indices of the elements of subset."""
-    return sum([1 << position[y] for y in subset])
+    return images
 
 
 def _indices(mask):

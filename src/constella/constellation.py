@@ -43,7 +43,6 @@ __all__ = [
     "restriction",
     "corestriction",
     "corestriction_candidates",
-    "pseudo_product",
     "plus_components",
     "meet",
 ]
@@ -327,15 +326,6 @@ def restriction(t, e, x):
     if len(found) != 1:
         raise NonUniqueError(f"{len(found)} candidates for {e!r}|{x!r}")
     return t.carrier[found[0]]
-
-
-def pseudo_product(t, a, b):
-    """(a|b+) b, or None when the corestriction or the pair is missing: an
-    entry of the pseudo-product rows, built on each call."""
-    cores = t._index()
-    j, i = cores.position[b], cores.position[a]
-    v = _pseudo_rows(t.table.rows, t.plus_row, cores.top)[0][i][j]
-    return None if v is None else t.carrier[v]
 
 
 def _pseudo_rows(val, plus, top):

@@ -35,7 +35,6 @@ __all__ = [
     "check_left_restriction",
     "holds",
     "natural_order",
-    "natural_order_by_witness",
     "idempotents",
     "identity_kind",
     "is_left_identity",
@@ -438,21 +437,6 @@ def _natural_rows(carrier, val, plus):
     if problem is not None:
         raise InvalidOrderError(problem)
     return le, up
-
-
-def natural_order_by_witness(s):
-    """Same relation via the witness form: some e in S+ has e b = a.
-
-    Kept separate from :func:`natural_order` so the two definitions can be
-    compared as an invariant.
-    """
-    comp = s.table.comp
-    image = set(s.plus.values())
-    return frozenset(
-        (a, b)
-        for a, b in product(s.carrier, repeat=2)
-        if any(comp.get((e, b)) == a for e in image)
-    )
 
 
 def idempotents(t):

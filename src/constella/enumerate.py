@@ -59,7 +59,6 @@ __all__ = [
     "DEFAULT_SIZE_CAP",
     "cap_from_env",
     "carrier_labels",
-    "all_partial_orders",
     "enumerate_semigroupoids",
     "enumerate_lr_semigroupoids",
     "enumerate_li_constellations",
@@ -139,25 +138,6 @@ def enumerate_lr_semigroupoids(n, cap=None):
                                  pool.setdefault(plus, plus))
 
 
-def all_partial_orders(carrier):
-    """Every partial order on the carrier, as frozensets of pairs."""
-    carrier = tuple(carrier)
-    position = _positions(carrier)
-    reflexive = {(a, a) for a in carrier}
-    strict = sorted(
-        (a, b) for a, b in product(carrier, repeat=2) if a != b
-    )
-    orders = []
-    for mask in range(1 << len(strict)):
-        chosen = {strict[i] for i in range(len(strict)) if mask >> i & 1}
-        order = frozenset(chosen | reflexive)
-        le, up, _ = _order_rows(
-            [(position[a], position[b]) for a, b in order], len(carrier))
-        if _order_rows_problem(carrier, le, up) is None:
-            orders.append(order)
-    return orders
-
-
 def enumerate_li_constellations(n, cap=None):
     """All locally inductive ordered constellations on n labels.
 
@@ -166,8 +146,8 @@ def enumerate_li_constellations(n, cap=None):
     other.  Each (table, plus) pair passing c1-c4 is tried only with the
     orders of _candidate_orders, a superset of its valid orders, and every
     candidate is then decided by wo1-wo9.  A pair has at most one valid
-    order, so the stream is the one a filter over every partial order
-    (all_partial_orders) yields.
+    order, so the stream is the one a filter over every partial order of
+    the carrier yields.
     """
     _check_cap(n, cap)
     carrier = carrier_labels(n)

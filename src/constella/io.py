@@ -16,7 +16,7 @@ reduced order) so files are byte-stable and good for golden tests.
 import json
 import re
 
-from .coded import _positions, _table_rows
+from .coded import _le_rows, _positions, _table_rows
 from .constellation import OrderedConstellation
 from .core import LeftRestrictionSemigroupoid, PartialTable, _from_rows
 
@@ -172,14 +172,12 @@ def _reachable(pairs, n):
     return above
 
 
-def _transitive_reduction(order):
-    strict = {(a, b) for a, b in order if a != b}
-    reduced = set()
-    for a, b in strict:
-        if not any((a, z) in strict and (z, b) in strict for z in
-                   {p[1] for p in strict if p[0] == a}):
-            reduced.add((a, b))
-    return reduced
+def _covers(up):
+    """The covering pairs (a, b) of an order given by its up-lists: b in
+    up[a], b != a, and no z of up[a] other than a and b has z <= b."""
+    le = _le_rows(up)
+    return [(a, b) for a, above in enumerate(up) for b in above if b != a
+            and not any(le[z][b] for z in above if z != a and z != b)]
 
 
 def element_labels(carrier):
@@ -206,9 +204,9 @@ def element_labels(carrier):
 def serialize_structure(s):
     """Canonical text form; inverse of parse_structure on canonical files."""
     if isinstance(s, LeftRestrictionSemigroupoid):
-        kind, order = "semigroupoid", None
+        kind, up = "semigroupoid", None
     elif isinstance(s, OrderedConstellation):
-        kind, order = "constellation", s.order
+        kind, up = "constellation", s.up
     else:
         raise TypeError(f"unsupported structure {type(s).__name__}")
     labels = element_labels(s.carrier)
@@ -222,12 +220,10 @@ def serialize_structure(s):
         for (a, b), c in s.table.comp.items()
     )
     lines.extend(comp_lines)
-    if order is not None:
-        order_lines = sorted(
-            f"order {labels[a]} {labels[b]}"
-            for a, b in _transitive_reduction(order)
-        )
-        lines.extend(order_lines)
+    if up is not None:
+        name = [labels[x] for x in s.carrier]
+        lines.extend(sorted(f"order {name[a]} {name[b]}"
+                            for a, b in _covers(up)))
     return "\n".join(lines) + "\n"
 
 

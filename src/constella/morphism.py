@@ -242,13 +242,6 @@ MORPHISM_KINDS = {
     "ip": (OrderedConstellation, _ip_instances),
 }
 
-_KIND_ALIASES = {
-    "restriction": "rm",
-    "premorphism": "pm",
-    "radiant": "ir",
-    "preradiant": "ip",
-}
-
 
 def _instances(kind, source, target):
     cls, build = MORPHISM_KINDS[kind]
@@ -329,7 +322,6 @@ def enumerate_morphisms(kind, source, target, cap=None):
     """
     if cap is None:
         cap = _map_cap()
-    kind = _KIND_ALIASES.get(kind, kind)
     n, k = len(target.carrier), len(source.carrier)
     if n**k > cap:
         raise CapExceededError(f"{n}^{k} candidate maps exceed cap {cap}")

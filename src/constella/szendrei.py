@@ -6,9 +6,10 @@ semigroupoids and of constellations are built over the same canonical
 carrier so the two composite constructions agree literally.
 
 Both expansions are built in index space from the stored rows of their
-base (coded.py).  Each element (A, a) is coded once as (bitmask of A,
-index of a), with one dict from that code to its index in the carrier,
-and each uA = {ux : x in A} is a bitmask, computed once per u and A:
+base (coded.py).  Each element (A, a) is generated as its code (bitmask
+of A, index of a), sorted on integer keys and then built once, with one
+dict from its code to its index in the carrier; each uA = {ux : x in A}
+is a bitmask, computed once per u and A:
 
   in Sz(S), (A,a)(B,b) = ((ab)+A union aB, ab) when ab is defined;
   in Sz(T), (A,a)(B,b) = (A, ab) when ab is defined and aB is inside A;
@@ -16,15 +17,15 @@ and each uA = {ux : x in A} is a bitmask, computed once per u and A:
 
 The rows are stored as they are (core._from_rows), after the checks the
 public constructors made on the labelled tables: the same exceptions,
-texts and precedence.  iota finds its images through the codes, and extend
-reads the target's rows, plus_row and corestriction index; both store
-the target indices they find as the map's images.
+texts and precedence.  iota finds its images by position in the carrier,
+and extend reads the target's rows, plus_row and corestriction index; both
+store the target indices they find as the map's images.
 """
 
 from collections import Counter
 from itertools import combinations
 
-from .coded import _indices, _le_rows, _mask, _positions, _subset_codes
+from .coded import _indices, _le_rows, _positions, _subset_images
 from .constellation import OrderedConstellation, corestriction
 from .core import (
     LeftRestrictionSemigroupoid,
@@ -41,7 +42,6 @@ __all__ = [
     "expand_constellation",
     "iota",
     "generation_decomposition",
-    "evaluate_term",
     "evaluate_through",
     "extend",
     "Term",
@@ -61,10 +61,9 @@ class SzendreiElement:
     """Pair (subset, anchor) with anchor inside the subset.
 
     The element is immutable, so its hash and its sort key are computed
-    once, when it is built, and kept.  On an iterated expansion the subset
-    holds elements of the level below, whose keys are themselves kept:
-    sorting a carrier then costs one tuple comparison per step, not one
-    nested sort per level.  The repr is built from the key on demand.
+    once, when it is built, and kept; the repr is built from the key on
+    demand.  The expansions sort their carriers on index keys, not on
+    these (_coded_carrier).
     """
 
     __slots__ = ("subset", "anchor", "_hash", "_key")
@@ -73,11 +72,7 @@ class SzendreiElement:
         subset = frozenset(subset)
         if anchor not in subset:
             raise ValueError("anchor must belong to the subset")
-        members = sorted(subset)
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "_hash", hash((subset, anchor)))
-        object.__setattr__(self, "_key", (len(subset), tuple(members), anchor))
+        _fill(self, subset, tuple(sorted(subset)), anchor)
 
     def __setattr__(self, name, value):
         raise AttributeError("SzendreiElement is immutable")
@@ -105,24 +100,17 @@ class SzendreiElement:
         return f"SzendreiElement({list(self._key[1])!r}, {self.anchor!r})"
 
 
-def _sz_carrier(carrier, plus):
-    """All (A, a) over the plus-classes, in one canonical order."""
-    classes = {}
-    for x in carrier:
-        classes.setdefault(plus[x], []).append(x)
-    elements = []
-    for e, members in classes.items():
-        rest = [x for x in members if x != e]
-        for k in range(len(rest) + 1):
-            for combo in combinations(sorted(rest), k):
-                subset = frozenset(combo) | {e}
-                for a in subset:
-                    elements.append(SzendreiElement(subset, a))
-    return tuple(sorted(elements))
+def _fill(el, subset, members, anchor):
+    """el, its fields set to (subset, anchor), members its sorted subset."""
+    object.__setattr__(el, "subset", subset)
+    object.__setattr__(el, "anchor", anchor)
+    object.__setattr__(el, "_hash", hash((subset, anchor)))
+    object.__setattr__(el, "_key", (len(subset), members, anchor))
+    return el
 
 
 def _expansion_size(plus):
-    """The number of (A, a) _sz_carrier lists over a plus map coded by
+    """The number of (A, a) _coded_carrier lists over a plus map coded by
     index, from the closed form.  The class of e, the x with x+ = e, holds
     m elements other than e; each j of them with e make a subset A of
     j + 1 elements, each an anchor a, so the class gives
@@ -137,37 +125,57 @@ def _expansion_size(plus):
 
 def _coded_carrier(carrier, val, plus):
     """The expansion's carrier over a base coded by index (val, plus), with
-    its coding (coded._subset_codes): (sz, anchors, masks, images, code).
-    An expansion whose table would hold more cells than the map cap
-    (morphism._map_cap) is refused with CapExceededError before any
-    element is built.
+    its coding (sz, anchors, masks, images, code): sz[i] = (A, a), anchors[i]
+    the index of a, masks[i] the bitmask of A's indices, images as
+    coded._subset_images gives them, and code[masks[i], anchors[i]] = i.  An
+    expansion with more table cells than the map cap (morphism._map_cap) is
+    refused with CapExceededError before any element is built.
 
-    sz repeats an element only when two plus-elements are each other's
-    plus, e+ = f and f+ = e, and then the plus of ({e}, e) is no element,
-    which _sz_plus_row rejects before anything reads the repeat.
+    The codes are sorted on (|A|, the ranks of A's members in increasing
+    order, the rank of a), a rank being a position in the sorted base
+    carrier: on totally ordered labels, the order of the elements' own
+    keys.  sz repeats an element only when two plus-elements are each
+    other's plus, e+ = f and f+ = e, and then the plus of ({e}, e) is no
+    element, which _sz_plus_row rejects before anything reads the repeat.
     """
     size, cap = _expansion_size(plus), _map_cap()
     if size * size > cap:
         raise CapExceededError(
             f"an expansion of {size} elements has {size}^2 table cells, "
             f"which exceed cap {cap}")
-    sz = _sz_carrier(carrier, dict(zip(carrier, [carrier[e] for e in plus])))
-    return (sz, *_subset_codes(sz, carrier, val))
+    order = sorted(range(len(carrier)), key=carrier.__getitem__)
+    rank = {x: r for r, x in enumerate(order)}
+    keys = []
+    for e in set(plus):
+        rest = [rank[x] for x, f in enumerate(plus) if f == e and x != e]
+        for k in range(len(rest) + 1):
+            for combo in combinations(rest, k):
+                ranks = tuple(sorted((rank[e], *combo)))
+                keys.extend([(k + 1, ranks, r) for r in ranks])
+    sz, anchors, masks, shared = [], [], [], {}
+    for _, ranks, r in sorted(keys):
+        if ranks not in shared:  # once per subset A
+            members = tuple([carrier[order[q]] for q in ranks])
+            mask = sum([1 << order[q] for q in ranks])
+            shared[ranks] = frozenset(members), members, mask
+        subset, members, mask = shared[ranks]
+        sz.append(_fill(object.__new__(SzendreiElement), subset, members,
+                        carrier[order[r]]))
+        anchors.append(order[r])
+        masks.append(mask)
+    code = {key: i for i, key in enumerate(zip(masks, anchors))}
+    return tuple(sz), anchors, masks, _subset_images(val, masks), code
 
 
-def _sz_plus_row(sz, carrier, anchors, masks, plus, code):
+def _sz_plus_row(anchors, masks, plus, code):
     """(A, a)+ = (A, a+) coded by index, checked inside the carrier at each
-    (A, a) in carrier order."""
-    out = []
-    for p, a, mask in zip(sz, anchors, masks):
-        k = code.get((mask, plus[a]))
-        if k is None:
-            # a+ is not in A (an invalid plus map), so building (A, a+)
-            # raises, as the labelled construction did
-            SzendreiElement(p.subset, carrier[plus[a]])
-            raise ValueError("plus image leaves the carrier")
-        out.append(k)
-    return tuple(out)
+    (A, a) in carrier order.  (A, a+) is an element whenever a+ is in A,
+    so a+ outside A (an invalid plus map) is the one failure, and it
+    raises the ValueError the labelled construction raised."""
+    try:
+        return tuple([code[mask, plus[a]] for a, mask in zip(anchors, masks)])
+    except KeyError:
+        raise ValueError("anchor must belong to the subset") from None
 
 
 def expand_semigroupoid(s):
@@ -200,7 +208,7 @@ def expand_semigroupoid(s):
             if k is None and leaving is None:
                 leaving = i, j, left | right, ab
         rows.append(tuple(row))
-    plus_row = _sz_plus_row(sz, carrier, anchors, masks, plus, code)
+    plus_row = _sz_plus_row(anchors, masks, plus, code)
     if leaving is not None:
         i, j, mask, ab = leaving
         entry = sz[i], sz[j], SzendreiElement(
@@ -214,8 +222,7 @@ def expand_constellation(t):
     """Expansion of an ordered constellation.
 
     (A,a)(B,b) = (A, ab) when ab is defined and aB is inside A; the order
-    is (A,a) <= (B,b) iff a <= b and a+ B is inside A, products taken in
-    t.
+    is (A,a) <= (B,b) iff a <= b and a+ B is inside A (products in t).
 
     On an invalid base it raises what the labelled construction raised:
     the plus check of _sz_plus_row, then ValueError when the order is not
@@ -235,7 +242,7 @@ def expand_constellation(t):
         above, plus_images = le[a], images[plus[a]]
         up.append(tuple([j for j, b in enumerate(anchors)
                          if above[b] and plus_images[j] | mask == mask]))
-    plus_row = _sz_plus_row(sz, carrier, anchors, masks, plus, code)
+    plus_row = _sz_plus_row(anchors, masks, plus, code)
     up = tuple(up)
     problem = _order_rows_problem(sz, _le_rows(up), up)
     if problem is not None:
@@ -246,15 +253,12 @@ def expand_constellation(t):
 
 def iota(t, expansion=None):
     """The embedding x -> ({x+, x}, x) into the expansion of t, onto the
-    expansion's own members, found through their codes."""
+    expansion's own members, found by their positions in its carrier."""
     if expansion is None:
         expansion = expand_constellation(t)
-    position = _positions(t.carrier)
-    code = {(_mask(p.subset, position), position[p.anchor]): i
-            for i, p in enumerate(expansion.carrier)
-            if isinstance(p, SzendreiElement) and p.subset <= position.keys()}
-    images = tuple([code.get(((1 << x) | (1 << e), x))
-                    for x, e in enumerate(t.plus_row)])
+    position, carrier = _positions(expansion.carrier), t.carrier
+    images = tuple([position.get(SzendreiElement({carrier[e], x}, x))
+                    for x, e in zip(carrier, t.plus_row)])
     if None in images:
         raise ValueError("mapping image leaves the target carrier")
     return _from_rows(MorphismMap, t, expansion, images)
@@ -327,11 +331,6 @@ def generation_decomposition(sz, el):
     if el.anchor == anchor_plus:
         return folded
     return Compose(folded, Leaf(el.anchor))
-
-
-def evaluate_term(term, base, sz):
-    """Evaluate a term inside the expansion sz of the constellation base."""
-    return evaluate_through(term, iota(base, sz).mapping, sz)
 
 
 def evaluate_through(term, leaves, target):

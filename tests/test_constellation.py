@@ -13,13 +13,13 @@ from constella.constellation import (
     NonUniqueError,
     NotApplicableError,
     OrderedConstellation,
+    _pseudo_rows,
     check_constellation,
     check_locally_inductive,
     corestriction,
     corestriction_candidates,
     meet,
     plus_components,
-    pseudo_product,
     restriction,
 )
 from constella.core import PartialTable, Violation
@@ -408,17 +408,24 @@ def test_components_and_meets_match_the_labelled_references():
     assert seen["across"] and seen["valid", False] and seen["invalid"]
 
 
+def _ref_pseudo_product(t, x, y):
+    """(x|y+) y from the public corestriction and the labelled table, or
+    None when the corestriction or the product is missing."""
+    c = corestriction(t, x, t.plus[y])
+    return t.table.comp.get((c.value, y)) if c.exists else None
+
+
 def test_pseudo_product_matches_the_labelled_reference():
-    # (x|y+) y from the public corestriction and the labelled table, also
-    # on the order edits that fail the axioms
+    # the pseudo-product rows build_G stores and ip1 reads, against the
+    # labelled reference, also on the order edits that fail the axioms
     seen = Counter()
     for t in _index_cases():
-        comp, plus = t.table.comp, t.plus
-        for x, y in product(t.carrier, repeat=2):
-            c = corestriction(t, x, plus[y])
-            want = comp.get((c.value, y)) if c.exists else None
-            assert pseudo_product(t, x, y) == want
-            seen[c.exists, want is None] += 1
+        carrier = t.carrier
+        rows = _pseudo_rows(t.table.rows, t.plus_row, t._index().top)[0]
+        for (i, x), (j, y) in product(enumerate(carrier), repeat=2):
+            want = _ref_pseudo_product(t, x, y)
+            assert (None if rows[i][j] is None else carrier[rows[i][j]]) == want
+            seen[corestriction(t, x, t.plus[y]).exists, want is None] += 1
     assert seen[True, True] and seen[True, False] and seen[False, True]
 
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from constella import fixtures
@@ -10,8 +12,19 @@ from constella.core import (
     idempotents,
     identity_kind,
     natural_order,
-    natural_order_by_witness,
 )
+
+
+def _ref_natural_order_by_witness(s):
+    """The natural order in its witness form, on the labelled views:
+    a <= b iff e b = a for some e in S+."""
+    comp = s.table.comp
+    image = set(s.plus.values())
+    return frozenset(
+        (a, b)
+        for a, b in product(s.carrier, repeat=2)
+        if any(comp.get((e, b)) == a for e in image)
+    )
 
 
 def test_table_rejects_empty_carrier():
@@ -109,7 +122,7 @@ def test_natural_order_raises_on_axiom_breaking_structures():
 @pytest.mark.parametrize("name", sorted(fixtures.all_fixtures()))
 def test_natural_order_matches_witness_form(name):
     s = fixtures.all_fixtures()[name]
-    assert natural_order(s) == natural_order_by_witness(s)
+    assert natural_order(s) == _ref_natural_order_by_witness(s)
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.all_fixtures()))

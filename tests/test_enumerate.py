@@ -26,7 +26,6 @@ from constella.core import (
 from constella.enumerate import (
     CapExceededError,
     _plus_maps,
-    all_partial_orders,
     are_isomorphic,
     canonical_form,
     carrier_labels,
@@ -153,12 +152,26 @@ def test_each_table_and_plus_has_at_most_one_valid_order(census_4):
         assert set(orders.values()) == {1}
 
 
+def _ref_all_partial_orders(carrier):
+    """Every partial order on the carrier, as frozensets of pairs: the
+    reflexive relations that are antisymmetric and transitive."""
+    reflexive = {(a, a) for a in carrier}
+    strict = [(a, b) for a, b in product(carrier, repeat=2) if a != b]
+    orders = []
+    for mask in range(1 << len(strict)):
+        order = reflexive | {p for i, p in enumerate(strict) if mask >> i & 1}
+        if all((b, a) not in order for a, b in order if a != b) and all(
+                (a, d) in order for a, b in order for c, d in order if b == c):
+            orders.append(frozenset(order))
+    return orders
+
+
 def _reference_li_constellations(n):
     # every plus map and every partial order of the carrier for each table
     # passing c1/c2, filtered by the reference scans of c3/c4, wo1-wo3 and
     # then wo4-wo9
     carrier = carrier_labels(n)
-    orders = all_partial_orders(carrier)
+    orders = _ref_all_partial_orders(carrier)
     for table in _tables(carrier, _c12_violations):
         for images in product(carrier, repeat=n):
             plus = dict(zip(carrier, images))
@@ -360,9 +373,9 @@ def test_all_structures_in_census_are_valid():
 
 
 def test_partial_order_counts():
-    assert len(all_partial_orders(carrier_labels(1))) == 1
-    assert len(all_partial_orders(carrier_labels(2))) == 3
-    assert len(all_partial_orders(carrier_labels(3))) == 19
+    assert len(_ref_all_partial_orders(carrier_labels(1))) == 1
+    assert len(_ref_all_partial_orders(carrier_labels(2))) == 3
+    assert len(_ref_all_partial_orders(carrier_labels(3))) == 19
 
 
 def test_size_cap():

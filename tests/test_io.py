@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from constella import fixtures
 from constella.constellation import OrderedConstellation
 from constella.core import LeftRestrictionSemigroupoid
+from constella.enumerate import enumerate_li_constellations
 from constella.functor import build_C
+from constella.groups import cyclic_group
 from constella.io import (
     ParseError,
     element_labels,
@@ -80,6 +82,33 @@ def test_serializer_emits_transitive_reduction():
     out = serialize_structure(parse_structure(text))
     assert "order a b" in out and "order b c" in out
     assert "order a c" not in out and "order a a" not in out
+
+
+def _ref_transitive_reduction(order):
+    """The covering pairs of an order given by its labelled pairs."""
+    strict = {(a, b) for a, b in order if a != b}
+    reduced = set()
+    for a, b in strict:
+        if not any((a, z) in strict and (z, b) in strict for z in
+                   {p[1] for p in strict if p[0] == a}):
+            reduced.add((a, b))
+    return reduced
+
+
+def test_serialized_order_is_the_labelled_transitive_reduction():
+    # the n <= 3 census, Sz^1-Sz^3 of C(ex6_7) and Sz(C(Z_5))
+    lic = [t for n in (1, 2, 3) for t in enumerate_li_constellations(n)]
+    t = build_C(fixtures.ex6_7())
+    for _ in range(3):
+        t = expand_constellation(t)
+        lic.append(t)
+    lic.append(expand_constellation(build_C(cyclic_group(5))))
+    for t in lic:
+        labels = element_labels(t.carrier)
+        want = sorted(f"order {labels[a]} {labels[b]}"
+                      for a, b in _ref_transitive_reduction(t.order))
+        lines = serialize_structure(t).splitlines()
+        assert [line for line in lines if line.startswith("order ")] == want
 
 
 @pytest.mark.parametrize(

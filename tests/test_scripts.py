@@ -1,6 +1,9 @@
-"""The maintenance scripts under scripts/, run as a user runs them, and
-the encoding of the package sources."""
+"""The maintenance scripts under scripts/, run as a user runs them, the
+encoding of the package sources, and the names the benchmark's tracer
+wraps."""
 
+import ast
+import importlib
 import os
 import re
 import subprocess
@@ -58,3 +61,20 @@ def test_the_package_sources_are_ascii():
     assert sources
     for path in sources:
         path.read_bytes().decode("ascii")
+
+
+def test_every_name_the_tracer_wraps_is_a_package_callable():
+    # perfbench/tracer.py looks up each (module, name) of SPANNED and
+    # COUNTED in constella.<module> when a traced run installs it; the
+    # tables are read from the file, which is not imported
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("SPANNED", "COUNTED")}
+    assert sorted(tables) == ["COUNTED", "SPANNED"]
+    for table in tables.values():
+        for module, names in table.items():
+            home = importlib.import_module(f"constella.{module}")
+            for name in names:
+                assert callable(getattr(home, name, None)), (module, name)

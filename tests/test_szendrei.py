@@ -1,15 +1,11 @@
 import random
 from collections import Counter
-from itertools import chain, product
+from itertools import chain, combinations, product
 
 import pytest
 
 from constella import fixtures
-from constella.constellation import (
-    OrderedConstellation,
-    corestriction,
-    pseudo_product,
-)
+from constella.constellation import OrderedConstellation, corestriction
 from constella.core import LeftRestrictionSemigroupoid, PartialTable
 from constella.enumerate import (
     enumerate_li_constellations,
@@ -34,14 +30,14 @@ from constella.szendrei import (
     Plus,
     SzendreiElement,
     _expansion_size,
-    _sz_carrier,
-    evaluate_term,
+    evaluate_through,
     expand_constellation,
     expand_semigroupoid,
     extend,
     generation_decomposition,
     iota,
 )
+from test_constellation import _ref_pseudo_product
 
 
 def C(name):
@@ -82,7 +78,8 @@ def test_oversized_expansions_are_refused_before_they_are_built(monkeypatch):
     t = build_C(s)
     monkeypatch.setenv("CONSTELLA_CAP", "2303")
     with monkeypatch.context() as m:
-        m.setattr("constella.szendrei._sz_carrier", None)  # never reached
+        # the subsets A are drawn after the cap check, so never here
+        m.setattr("constella.szendrei.combinations", None)
         for expand, x in ((expand_semigroupoid, s), (expand_constellation, t)):
             with pytest.raises(CapExceededError, match="48 elements .* cap 2303"):
                 expand(x)
@@ -191,10 +188,16 @@ def test_iota_pseudo_product_identity(name):
             c = corestriction(t, x, t.plus[y])
             if not c.exists:
                 continue
-            xy = pseudo_product(t, x, y)
-            lhs = pseudo_product(sz, emb[x], emb[y])
-            rhs = pseudo_product(sz, sz.plus[emb[x]], emb[xy])
+            xy = _ref_pseudo_product(t, x, y)
+            lhs = _ref_pseudo_product(sz, emb[x], emb[y])
+            rhs = _ref_pseudo_product(sz, sz.plus[emb[x]], emb[xy])
             assert lhs == rhs is not None
+
+
+def _ref_evaluate_term(term, base, sz):
+    """A term evaluated inside the expansion sz of the constellation base,
+    each leaf x sent to iota(x)."""
+    return evaluate_through(term, iota(base, sz).mapping, sz)
 
 
 def test_generation_decomposition_examples():
@@ -211,14 +214,14 @@ def test_generation_decomposition_examples():
     assert isinstance(term, Leaf) and term.element == "x"
     for el in sz.carrier:
         term = generation_decomposition(sz, el)
-        assert evaluate_term(term, t, sz) == el
+        assert _ref_evaluate_term(term, t, sz) == el
     # an element with a three-member subset needs corestriction + composition
     t3 = C("ex6_7")
     sz3 = expand_constellation(t3)
     wide = SzendreiElement({"y", "y+", "s"}, "y")
     term = generation_decomposition(sz3, wide)
     assert isinstance(term, Compose) and isinstance(term.left, Corestrict)
-    assert evaluate_term(term, t3, sz3) == wide
+    assert _ref_evaluate_term(term, t3, sz3) == wide
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.all_fixtures()))
@@ -226,7 +229,7 @@ def test_generation_witnesses_evaluate_back(name):
     t = C(name)
     sz = expand_constellation(t)
     for el in sz.carrier:
-        assert evaluate_term(generation_decomposition(sz, el), t, sz) == el
+        assert _ref_evaluate_term(generation_decomposition(sz, el), t, sz) == el
 
 
 def test_generation_rejects_foreign_element():
@@ -239,7 +242,7 @@ def test_corestrict_term_evaluation_uses_the_expansion():
     t = C("ex6_3")
     sz = expand_constellation(t)
     term = Corestrict(Plus(Leaf("e")), Plus(Leaf("f")))
-    assert evaluate_term(term, t, sz) == SzendreiElement({"0"}, "0")
+    assert _ref_evaluate_term(term, t, sz) == SzendreiElement({"0"}, "0")
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.all_fixtures()))
@@ -298,12 +301,30 @@ def test_extend_rejects_component_crossing_images():
 
 # --- the labelled constructions, kept as the reference ---
 #
-# These are the expansions, iota and extend as they were written on the
-# labelled views (comp, plus, order) and the public constructors, which
-# check and code the labelled tables.  One change: the semigroupoid
-# expansion looks up the products of a subset in carrier order, where it
-# iterated the frozenset, whose order depends on the hash seed for str
-# labels, so that the KeyError names a seed-independent pair.
+# These are the expansion carriers (every (A, a) built as an element and
+# sorted on the elements' own keys), the expansions, iota and extend as
+# they were written on the labelled views (comp, plus, order) and the
+# public constructors, which check and code the labelled tables.  One
+# change: the semigroupoid expansion looks up the products of a subset in
+# carrier order, where it iterated the frozenset, whose order depends on
+# the hash seed for str labels, so that the KeyError names a
+# seed-independent pair.
+
+
+def _ref_sz_carrier(carrier, plus):
+    """All (A, a) over the plus-classes, in one canonical order."""
+    classes = {}
+    for x in carrier:
+        classes.setdefault(plus[x], []).append(x)
+    elements = []
+    for e, members in classes.items():
+        rest = [x for x in members if x != e]
+        for k in range(len(rest) + 1):
+            for combo in combinations(sorted(rest), k):
+                subset = frozenset(combo) | {e}
+                for a in subset:
+                    elements.append(SzendreiElement(subset, a))
+    return tuple(sorted(elements))
 
 
 def _ref_member_lookup(carrier):
@@ -318,7 +339,7 @@ def _ref_member_lookup(carrier):
 
 def _ref_expand_semigroupoid(s):
     comp, base_plus = s.table.comp, s.plus
-    carrier = _sz_carrier(s.carrier, base_plus)
+    carrier = _ref_sz_carrier(s.carrier, base_plus)
     member = _ref_member_lookup(carrier)
     sz_comp = {}
     for p in carrier:
@@ -338,7 +359,7 @@ def _ref_expand_semigroupoid(s):
 
 def _ref_expand_constellation(t):
     comp, base_plus, base_order = t.table.comp, t.plus, t.order
-    carrier = _sz_carrier(t.carrier, base_plus)
+    carrier = _ref_sz_carrier(t.carrier, base_plus)
     member = _ref_member_lookup(carrier)
     sz_comp = {}
     for p in carrier:
@@ -458,6 +479,23 @@ def test_expansions_match_the_labelled_references():
         lrs.append(build_G(t))
     for x in chain(lrs, lic):
         assert not _failed(_assert_matches(x))
+
+
+def test_expansion_carriers_are_in_the_order_of_the_labelled_reference():
+    # the index-keyed sort against the sort of the elements themselves,
+    # on str carriers and on the Szendrei carriers of iterated expansions
+    lrs = [*fixtures.all_fixtures().values(), *GROUPS.values()]
+    lic = list(map(build_C, lrs))
+    t = build_C(fixtures.ex6_7())
+    for _ in range(3):
+        t = expand_constellation(t)
+        lic.append(t)
+        lrs.append(build_G(t))
+    for x in chain(lrs, lic):
+        expand = (expand_semigroupoid
+                  if isinstance(x, LeftRestrictionSemigroupoid)
+                  else expand_constellation)
+        assert expand(x).carrier == _ref_sz_carrier(x.carrier, x.plus), x
 
 
 def test_extensions_match_the_reference_on_the_universal_property_pairs(
