@@ -12,17 +12,17 @@ the up-lists come the boolean rows (le[x][y] when x <= y) and the
 down-lists, which a constellation keeps with its corestriction index
 (_Index), built on first use.  A subset A of a carrier is coded as the
 bitmask of its indices, as a Szendrei expansion codes its elements
-(A, a), and so is each image uA (_subset_images).  The s1-s3 and c1/c2
-checkers scan only the rows that a byte-row test of the table cannot pass
-(_suspect_rows).
+(A, a), and so is each image uA (_subset_images) and each down-set the
+corestriction index reads.  The tests that let a checker scan only the
+groups of instances that can fail read this form too; they live in
+suspects: the byte-row test of s1-s3 and c1/c2, the bit-row test of wo1
+(each defined pair one bit) and the byte-column test of wo4, wo5 and wo7.
+They share one gate, 8 to 254 elements (suspects._BYTE_ROWS), and the
+byte-column test starts at 16; below the gate, the census among them, the
+full scans run.
 """
 
 from operator import eq
-
-# The carrier sizes on which _suspect_rows tests rows as bytes: below 8
-# elements the full scan costs no more (as measured on single-cell edits),
-# and above 254 a byte cannot hold the n + 2 symbols.
-_BYTE_ROWS = range(8, 255)
 
 
 def _positions(carrier):
@@ -87,86 +87,6 @@ def _table_rows(n, cells):
 def _defined_rows(val):
     """Boolean rows: D[a][b] is true when val[a][b] is defined."""
     return [[v is not None for v in row] for row in val]
-
-
-def _suspect_rows(val, masked):
-    """The list of rows (a, b, every) on which s1-s3 (masked false, as
-    core._s_violations states them) or c1/c2 (masked true, as
-    constellation._c12_violations states them) can fail, for a complete
-    table coded by carrier index, in index order; None, for every row, on
-    a carrier outside _BYTE_ROWS.  Here every is range(n) and r ranges
-    over it.
-
-    Each row of val is coded as bytes, one per column: a defined value
-    keeps its index and an undefined one is N = n.  For a left factor a,
-    the table that sends each index v to the index of av, or to U = n + 1
-    where av is undefined, and N to N, translates the row of b into the
-    row of a(br): N where br is undefined, U where br is defined and a(br)
-    is not, and the index of a(br) elsewhere.  It is compared with the
-    expected row: the row of ab when ab is defined, else b's domain
-    pattern, U where br is defined and N elsewhere.  The rows of all b are
-    joined into one blob, so one translate and one comparison test every
-    row of a; on the c side only the positions with br defined count (a
-    mask fixed per table).  A left factor that fails yields its failing
-    rows only.
-
-    A row passes exactly when its generator yields nothing on it.  U and
-    N are no index, and the table is complete (ab is defined exactly when
-    val[a][b] is not None), so column by column:
-
-    s1-s3, ab undefined: only s3 can trigger, at r with br and a(br)
-    defined, where an index meets U.  Elsewhere both entries are N (br
-    undefined) or U (a(br) undefined).
-    s1-s3, ab defined: nothing triggers where br and (ab)r are undefined,
-    and there both entries are N.  A triggered r yields nothing exactly
-    when br, (ab)r and a(br) are defined and (ab)r = a(br), where the two
-    indices agree.  Otherwise the entries differ: N meets an index where
-    br is undefined and (ab)r defined (s2); U meets an index or N where
-    a(br) is undefined (s1); an index meets N where a(br) is defined and
-    (ab)r is not (s1 and s3).
-    c1/c2: nothing is yielded where br is undefined, the masked columns.
-    Where br is defined: with ab undefined, c1 fails exactly where a(br)
-    is defined, where an index meets U; with ab defined, c1 or c2 fails
-    unless a(br) and (ab)r are defined and equal, where the entries agree.
-
-    The n + 2 symbols fit a byte while n <= 254.  The rows come in index
-    order and only rows that yield nothing are left out, so the
-    violations come in the sequence the full scan gives.
-    """
-    n = len(val)
-    if n not in _BYTE_ROWS:
-        return None
-    return list(_byte_row_mismatches(val, masked))
-
-
-def _byte_row_mismatches(val, masked):
-    """The rows of _suspect_rows on any carrier of at most 254 elements."""
-    n = len(val)
-    every = range(n)
-    fixed = bytes(range(n, 256))  # N, and the bytes no row holds
-    rows = [bytes([n if v is None else v for v in row]) for row in val]
-    blob = b"".join(rows)
-    domains = [row.translate(bytes([n + 1]) * n + fixed) for row in rows]
-    undefined = bytes(range(n)) + bytes([n + 1]) + fixed[1:]  # N to U
-    if masked:
-        mask = int.from_bytes(blob.translate(b"\xff" * n + bytes(256 - n)),
-                              "big")
-    for a, va in enumerate(val):
-        got = blob.translate(rows[a].translate(undefined) + fixed)
-        want = b"".join([domains[b] if v is None else rows[v]
-                         for b, v in enumerate(va)])
-        if got == want:
-            continue
-        if masked:
-            diff = (int.from_bytes(got, "big")
-                    ^ int.from_bytes(want, "big")) & mask
-            if not diff:
-                continue
-            got, want = diff.to_bytes(n * n, "big"), bytes(n * n)
-        for b in every:
-            i = b * n
-            if got[i:i + n] != want[i:i + n]:
-                yield a, b, every
 
 
 def _order_rows(pairs, n):
@@ -250,22 +170,46 @@ class _Index:
 
 
 def _corestriction_index(position, val, plus, le, down):
-    """The _Index of a coded constellation: the candidates for x|e are the y
-    in the down-set of x with ye defined, in index order."""
+    """The _Index of a coded constellation.  The candidates for x|e, the y
+    <= x with ye defined, are below[x] & composable: x is their maximum
+    when xe is defined, else the one whose down-set holds them all."""
     n = len(val)
     image = tuple(sorted(set(plus)))
+    below = []
+    for ys in down:
+        mask = 0
+        for y in ys:
+            mask |= 1 << y
+        below.append(mask)
     top = [None] * n
     some = [None] * n
+    rows = {}  # each distinct some row is held once
     for e in image:
-        composable = [row[e] is not None for row in val]
         top[e] = top_e = [None] * n
-        some[e] = some_e = [False] * n
-        for x, below in enumerate(down):
-            cands = [y for y in below if composable[y]]
-            if cands:
+        some_e = [False] * n
+        composable = 0
+        for x, row in enumerate(val):
+            if row[e] is not None:
+                composable |= 1 << x
+                some_e[x], top_e[x] = True, x
+        for x, mask in enumerate(below):
+            if not some_e[x] and mask & composable:
                 some_e[x] = True
-                top_e[x] = _maximum(le, cands)
+                top_e[x] = _top(below, mask & composable)
+        some[e] = rows.setdefault(bytes(some_e), some_e)
     return _Index(position, image, top, some, le, down)
+
+
+def _top(below, mask):
+    """The member of mask whose down-set (below) holds mask, or None."""
+    # tried from the least index, where the expansions put large elements
+    rest = mask
+    while rest:
+        m = (rest & -rest).bit_length() - 1
+        if not mask & ~below[m]:
+            return m
+        rest &= rest - 1
+    return None
 
 
 def _maximum(le, elements):

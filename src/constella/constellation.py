@@ -28,10 +28,10 @@ from .coded import (
     _plus_row,
     _positions,
     _restrictions,
-    _suspect_rows,
     _up_lists,
 )
 from .core import _PlusStructure, _named_report, _order_rows_problem
+from .suspects import _suspect_rows, _wo1_rows, _wo_suspects
 
 __all__ = [
     "OrderedConstellation",
@@ -222,7 +222,7 @@ def check_constellation(t):
     c4: for e in T+: xe defined implies xe = x.
 
     The c1/c2 scan visits only the rows (x, y) a byte-row test cannot pass
-    (coded._suspect_rows), and codes its defined pairs only when a row is
+    (suspects._suspect_rows), and codes its defined pairs only when a row is
     left.
     """
     val = t.table.rows
@@ -393,12 +393,14 @@ def _order_violations(val, plus, le, up):
     """wo1-wo3 on a constellation coded by carrier index (val, plus and the
     order as le and up-lists), which read no corestriction, so the census
     can test them before it builds the index.  wo1 and wo2 run over the
-    order pairs in index order."""
+    order pairs in index order; wo1 only over the x its bit-row test
+    (suspects._wo1_rows) cannot pass."""
     every = range(len(val))
+    wo1 = _wo1_rows(val, up)
 
     # wo1 visits only the x2 with xx2 and the y2 with yy2 defined; each row
     # is built when its x is reached, for the census's early exits
-    for x in every:
+    for x in every if wo1 is None else wo1:
         row = [(x2, le[xx2], up[x2]) for x2, xx2 in enumerate(val[x])
                if xx2 is not None]
         for y in up[x]:
@@ -430,32 +432,34 @@ def _order_violations(val, plus, le, up):
 def _index_violations(val, plus, cores):
     """wo4-wo9 on a coded constellation, read from its corestriction index
     cores (coded._Index) and the order rows it holds.  wo5 and wo7 run over
-    the defined pairs in index order."""
+    the defined pairs in index order; wo4, wo5 and wo7 only over the e
+    their byte-column test (suspects._wo_suspects) cannot pass."""
     every = range(len(val))
     image, le, top, some = cores.image, cores.le, cores.top, cores.some
+    wo4, wo5, wo7 = _wo_suspects(val, plus, cores) or (image,) * 3
 
     for x in every:
-        for e in image:
+        for e in wo4:
             if some[e][x] and top[e][x] is None:
                 yield "wo4", (x, e)
 
     defined = [(x, y, xy) for x in every for y, xy in enumerate(val[x])
-               if xy is not None]
+               if xy is not None] if wo5 or wo7 else ()
 
-    for e in image:
+    for e in wo5:
         some_e = some[e]
         for x, y, xy in defined:
             if some_e[xy] != some_e[y]:
                 yield "wo5", (x, y, e)
 
     for e in image:
-        for f in image:
-            if le[f][e] and some[e] != some[f]:
+        for f in cores.down[e]:  # some[f] is None off T+
+            if some[f] is not None and some[e] != some[f]:
                 for x in every:
                     if some[e][x] != some[f][x]:
                         yield "wo6", (x, e, f)
 
-    for e in image:
+    for e in wo7:
         some_e, top_e = some[e], top[e]
         for x, y, xy in defined:
             if not some_e[xy]:
@@ -465,26 +469,33 @@ def _index_violations(val, plus, cores):
             if m_xy is None or m_x is None or plus[m_xy] != plus[m_x]:
                 yield "wo7", (x, y, e)
 
-    # wo8: the restriction of f to e, the one y <= f with y+ = e, is e|f
+    # wo8: the restriction of f to e, the y <= f with y+ = e, is e|f; the
+    # down-set of each f is grouped by plus once
+    restrictions = {}
+    for f in image:
+        restrictions[f] = groups = {}
+        for y in cores.down[f]:
+            groups.setdefault(plus[y], []).append(y)
     for e in image:
         for f in image:
-            if le[e][f] and _restrictions(plus, cores.down, e, f) != [top[f][e]]:
+            if le[e][f] and restrictions[f].get(e) != [top[f][e]]:
                 yield "wo8", (e, f)
 
     # wo9: the corestriction restricted to T+ is exactly the partial meet
     # of the local semilattice: within a component it is the meet (a lower
     # bound in T+ of e and f above all their common lower bounds in T+),
-    # across components it must not exist.
+    # across components it must not exist.  With lower[e] the bitmask of
+    # the g <= e in T+ (the g with a some row), m is the meet exactly when
+    # m is in T+ and lower[m] is lower[e] & lower[f]: m lies in lower[m],
+    # and when m <= e, f, so does every g <= m.
     component = {e: i for i, (group, _) in enumerate(_components(image, le))
                  for e in group}
-    lower = {e: {g for g in image if le[g][e]} for e in image}
+    lower = {e: sum([1 << g for g in cores.down[e] if some[g] is not None])
+             for e in image}
     for e in image:
         for f in image:
             if component[e] != component[f]:
                 if some[f][e]:
                     yield "wo9", (e, f)
-                continue
-            m = top[f][e]
-            common = lower[e] & lower[f]
-            if m not in common or not common <= lower[m]:
+            elif lower.get(top[f][e]) != lower[e] & lower[f]:
                 yield "wo9", (e, f)

@@ -22,8 +22,8 @@ from .coded import (
     _defined_rows,
     _identity_line,
     _plus_row,
-    _suspect_rows,
 )
+from .suspects import _suspect_rows
 
 __all__ = [
     "PartialTable",
@@ -264,7 +264,7 @@ def check_semigroupoid(t):
     A triggered triple must have all four pairs defined with
     (sx)r = s(xr).  Every failing (clause, triple) is reported.  The scan
     visits only the rows (s, x) a byte-row test cannot pass
-    (coded._suspect_rows), and codes its defined pairs only when a row is
+    (suspects._suspect_rows), and codes its defined pairs only when a row is
     left.
     """
     val = t.rows

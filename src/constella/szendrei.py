@@ -316,9 +316,11 @@ def generation_decomposition(sz, el):
     """A term over iota-images, plus and corestriction evaluating to el.
 
     Follows the shape (A,a) = (iota(a1)+ | ... | iota(an)+) iota(a) where
-    a1..an run over A minus the shared plus-element.
+    a1..an run over A minus the shared plus-element.  The element is found
+    through the positions the expansion's corestriction index keeps, so a
+    caller that walks the carrier builds them once.
     """
-    i = _positions(sz.carrier).get(el)
+    i = sz._index().position.get(el)
     if i is None:
         raise ValueError(f"{el!r} is not in the expansion")
     anchor_plus = sz.carrier[sz.plus_row[i]].anchor

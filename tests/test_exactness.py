@@ -26,7 +26,7 @@
   mismatch names, flags, witnesses and exception types must agree, on
   valid structures and on every single edit of the n <= 3 censuses.
 - check_semigroupoid and check_constellation run the s1-s3 and c1/c2
-  generators only on the rows the byte-row test (coded._suspect_rows)
+  generators only on the rows the byte-row test (suspects._suspect_rows)
   cannot pass.  The full scan is the reference: the rows the test yields
   must be exactly the rows on which the generator yields something, in
   index order, and the generator on them must give the full scan's
@@ -67,10 +67,13 @@ from constella.constellation import (
     check_constellation,
     check_locally_inductive,
 )
-from constella.coded import (
+from constella import suspects
+from constella.coded import _defined_rows
+from constella.suspects import (
     _byte_row_mismatches,
-    _defined_rows,
     _suspect_rows,
+    _wo1_rows,
+    _wo_suspects,
 )
 from constella.core import (
     InvalidOrderError,
@@ -1401,3 +1404,158 @@ def test_suspect_rows_are_exact_at_the_byte_bound():
             failing += _assert_rows_exact(edited, violations, masked,
                                           lefts) > 0
     assert failing == 10
+
+
+# --- the wo tests: the groups the wo1, wo4, wo5 and wo7 scans visit ---
+
+def _assert_wo_groups_kept(t):
+    """check_locally_inductive reports the reference scan on t; the bit-row
+    test keeps exactly the x at which the scan reports wo1, the byte-column
+    test exactly the e at which it reports wo4 or wo5 and every e at which
+    it reports wo7, each list in index order; and the index holds the
+    reference corestrictions.  Returns the axioms that fail."""
+    scan = _wo_scan(t)
+    assert check_locally_inductive(t).violations == scan
+    position = {x: i for i, x in enumerate(t.carrier)}
+    failing = {}
+    for v in scan:
+        failing.setdefault(v.axiom, set()).add(v.witness)
+
+    def at(axiom, i):
+        return {position[w[i]] for w in failing.get(axiom, ())}
+
+    cores, val = t._index(), t.table.rows
+    rows = _wo1_rows(val, t.up)
+    if rows is not None:
+        assert rows == sorted(at("wo1", 0))
+    kept = _wo_suspects(val, t.plus_row, cores)
+    if kept is not None:
+        wo4, wo5, wo7 = kept
+        assert wo4 == sorted(at("wo4", 1)) and wo5 == sorted(at("wo5", 2))
+        assert wo7 == sorted(wo7) and at("wo7", 2) <= set(wo7)
+        # exact on the e at which wo4 and wo5 hold
+        assert set(wo7) - set(wo4 + wo5) == at("wo7", 2) - set(wo4 + wo5)
+    for (x, e), core in _reference_corestrictions(t).items():
+        i, k = position[x], position[e]
+        assert cores.some[k][i] == core.has_candidates
+        m = cores.top[k][i]
+        assert core == (CorestrictionResult.of(t.carrier[m]) if m is not None
+                        else core if core.kind == "no_maximum"
+                        else CorestrictionResult.empty())
+    return set(failing)
+
+
+@pytest.fixture(params=["shipped", "at 8"])
+def wo_gate(request, monkeypatch):
+    """The byte-column test with its shipped gate, and with the gate
+    lowered to the byte rows' 8 elements, so it runs on the small
+    expansions too."""
+    if request.param == "at 8":
+        monkeypatch.setattr(suspects, "_BYTE_COLUMNS", suspects._BYTE_ROWS)
+    return request.param
+
+
+def _expanded_group(order):
+    return build_C(expand_semigroupoid(cyclic_group(order)))
+
+
+@pytest.mark.parametrize("name", ["C(Sz(Z_3))", "Sz^2(C(ex6_6))"])
+def test_wo_tests_keep_every_failing_group_on_every_single_edit(name,
+                                                                 wo_gate):
+    t = _expanded_group(3) if name == "C(Sz(Z_3))" else \
+        expand_constellation(expand_constellation(build_C(fixtures.ex6_6())))
+    assert len(t.carrier) == (8 if name == "C(Sz(Z_3))" else 9)
+    assert _assert_wo_groups_kept(t) == set()
+    axioms, edits = set(), 0
+    for edit in _lic_edits(t):
+        axioms |= _assert_wo_groups_kept(edit)
+        edits += 1
+    assert edits == {"C(Sz(Z_3))": 582, "Sz^2(C(ex6_6))": 818}[name]
+    assert axioms == {f"wo{i}" for i in range(1, 10)}
+
+
+def _seeded_lic_edits(t, seed, count):
+    """count single edits of t drawn at random: a table cell set to None or
+    to an element, a plus value changed, or an order pair added or removed
+    where that leaves a partial order."""
+    rng, carrier = random.Random(seed), t.carrier
+    made = 0
+    while made < count:
+        a, b, v = (rng.choice(carrier) for _ in range(3))
+        kind = made % 3
+        try:
+            if kind == 0:
+                comp = dict(t.table.comp)
+                if rng.random() < 0.3:
+                    comp.pop((a, b), None)
+                else:
+                    comp[a, b] = v
+                yield OrderedConstellation(PartialTable(carrier, comp),
+                                           t.plus, t.order)
+            elif kind == 1:
+                yield OrderedConstellation(t.table, {**t.plus, a: v}, t.order)
+            elif a != b:
+                yield OrderedConstellation(t.table, t.plus,
+                                           t.order ^ {(a, b)})
+            else:
+                continue
+        except ValueError:  # the edited relation is no partial order
+            continue
+        made += 1
+
+
+def test_wo_tests_keep_every_failing_group_on_seeded_edits_of_a_large_expansion():
+    t = _expanded_group(5)
+    assert len(t.carrier) == 48
+    assert suspects._wo_suspects(t.table.rows, t.plus_row, t._index()) == \
+        ([], [], [])
+    axioms = _assert_wo_groups_kept(t)
+    for edit in _seeded_lic_edits(t, 28, 30):
+        axioms |= _assert_wo_groups_kept(edit)
+    assert {"wo1", "wo4", "wo5", "wo7"} <= axioms
+
+
+def test_wo_tests_keep_every_failing_group_on_the_fixture_images(wo_gate):
+    sizes = set()
+    for x in _fixture_images():
+        if isinstance(x, OrderedConstellation):
+            assert _assert_wo_groups_kept(x) == set()
+            sizes.add(len(x.carrier))
+    assert max(sizes) == 20 and min(sizes) < 8
+
+
+def _random_constellation(rng, n):
+    """A constellation on n elements drawn at random, valid or not: a
+    partial table and a plus map, each entry an index or undefined, and
+    the partial order closing a random set of pairs a < b."""
+    carrier = tuple(range(n))
+    comp = {(a, b): rng.randrange(n) for a, b in product(carrier, repeat=2)
+            if rng.random() < 0.4}
+    up = [{a} | {b for b in carrier if b > a and rng.random() < 0.15}
+          for a in carrier]
+    for a in reversed(carrier):  # close upward, from the top
+        up[a] = up[a].union(*(up[b] for b in up[a] if b != a))
+    return OrderedConstellation(
+        PartialTable(carrier, comp),
+        {a: rng.choice([a, rng.randrange(n)]) for a in carrier},
+        {(a, b) for a in carrier for b in up[a]})
+
+
+def test_wo_tests_keep_every_failing_group_on_random_structures(wo_gate):
+    rng, axioms = random.Random(2828), set()
+    for _ in range(120):
+        axioms |= _assert_wo_groups_kept(_random_constellation(
+            rng, rng.randrange(8, 17)))
+    assert axioms == {f"wo{i}" for i in range(1, 10)}
+
+
+def test_the_wo_tests_start_at_their_gates():
+    # The bit-row test starts at 8 elements and the byte-column test at
+    # 16, so the census (n <= 4) and the small mutants scan every group as
+    # before; at 7 elements both return None, for every group.
+    assert (suspects._BYTE_ROWS, suspects._BYTE_COLUMNS) == \
+        (range(8, 255), range(16, 255))
+    for t in (build_C(cyclic_group(7)), _expanded_group(3)):
+        val, n = t.table.rows, len(t.carrier)
+        assert _wo1_rows(val, t.up) == (None if n == 7 else [])
+        assert _wo_suspects(val, t.plus_row, t._index()) is None

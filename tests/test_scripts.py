@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
 from bench import measured_tree  # noqa: E402
+import pairs  # noqa: E402
 
 
 def test_freeze_census_prints_the_frozen_counts():
@@ -78,3 +79,51 @@ def test_every_name_the_tracer_wraps_is_a_package_callable():
             home = importlib.import_module(f"constella.{module}")
             for name in names:
                 assert callable(getattr(home, name, None)), (module, name)
+
+
+def _record(verdict, rss, failed=0):
+    return {"failed": failed, "metrics": {
+        "verdict_s": {"value": verdict, "unit": "s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+def test_pairs_alternate_the_trees_on_one_seed_per_pair():
+    calls = []
+
+    def run(side, seed):
+        calls.append((side, seed))
+        return _record(len(calls), 0.0)
+
+    records = pairs.run_pairs(run, 4, 2801)
+    assert calls == [("parent", 2801), ("change", 2801),
+                     ("change", 2802), ("parent", 2802),
+                     ("parent", 2803), ("change", 2803),
+                     ("change", 2804), ("parent", 2804)]
+    # each pair holds the parent's record first, whichever ran first
+    assert [(p["metrics"]["verdict_s"]["value"],
+             c["metrics"]["verdict_s"]["value"]) for p, c in records] == \
+        [(1, 2), (4, 3), (5, 6), (8, 7)]
+
+
+def test_pairs_judge_a_claim_by_wins_and_the_parents_spread():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    faster = [0.80] * 9 + [1.10]  # better in 9 of 10 pairs
+    records = [(_record(p, 20.0), _record(c, 20.1, failed=i == 3))
+               for i, (p, c) in enumerate(zip(parent, faster))]
+    metrics = [("verdict_s", "lower"), ("peak_rss_mb", "lower")]
+    (name, mp, mc, spread, wins, n, holds), rss = \
+        pairs.summary(records, metrics)
+    assert (name, mp, mc, wins, n, holds) == \
+        ("verdict_s", 1.0, 0.8, 9, 10, True)
+    assert abs(spread - (1.0175 - 0.9825)) < 1e-12  # inclusive quartiles
+    assert rss[1:3] == (20.0, 20.1) and rss[4:] == (0, 10, False)
+    assert pairs.failed(records) == (0, 1)
+    # a gap inside the parent's quartile distance is no gain, and neither
+    # are 8 wins of 10
+    close = [(_record(p, 0), _record(p - 0.01, 0)) for p in parent]
+    assert pairs.summary(close, metrics[:1])[0][4:] == (10, 10, False)
+    eight = records[:8] + [(_record(1.0, 0), _record(1.2, 0))] * 2
+    assert pairs.summary(eight, metrics[:1])[0][4:] == (8, 10, False)
+    assert pairs.quartile_distance([5.0]) == 0.0
+    # a metric where higher is better wins where the change is higher
+    assert pairs.summary(records, [("verdict_s", "higher")])[0][4] == 1

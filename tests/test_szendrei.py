@@ -232,6 +232,28 @@ def test_generation_witnesses_evaluate_back(name):
         assert _ref_evaluate_term(generation_decomposition(sz, el), t, sz) == el
 
 
+@pytest.mark.parametrize("base", ["ex6_7", "Z_5"])
+def test_the_term_list_builds_the_positions_once(base, monkeypatch):
+    # theorems decomposes every element of an expansion; the positions are
+    # built at most once over the walk, with the expansion's index, and
+    # each term is the one a call on a fresh copy of the expansion gives
+    import constella.constellation as constellation_module
+    import constella.szendrei as szendrei_module
+    t = build_C(fixtures.ex6_7() if base == "ex6_7" else cyclic_group(5))
+    sz = expand_constellation(t)
+    built = []
+    for module in (constellation_module, szendrei_module):
+        monkeypatch.setattr(module, "_positions",
+                            lambda c, f=module._positions: built.append(c)
+                            or f(c))
+    terms = [generation_decomposition(sz, el) for el in sz.carrier]
+    assert len(terms) == len(sz.carrier) == (12 if base == "ex6_7" else 48)
+    assert len(built) <= 1
+    fresh = [generation_decomposition(expand_constellation(t), el)
+             for el in sz.carrier]
+    assert list(map(repr, terms)) == list(map(repr, fresh))
+
+
 def test_generation_rejects_foreign_element():
     sz = expand_constellation(C("singleton"))
     with pytest.raises(ValueError):
